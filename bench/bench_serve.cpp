@@ -1,10 +1,16 @@
-// Serving-runtime benchmark: throughput and latency of the sharded
+// Serving-runtime benchmark: throughput and latency of
 // serve::ControllerServer under open-loop (request flood) and closed-loop
-// (plant-in-the-loop clients) traffic, swept over micro-batch size, worker
-// count, dispatcher count, and MPMC queue shards — plus a simulated
-// million-client open-loop run that floods deliberately small shard rings
-// and proves the admission accounting exact (accepted + shed + rejected ==
+// (plant-in-the-loop clients) traffic, on its two request paths — answered
+// inline on the submitting thread, and forced past the in-flight bound into
+// the queued path, swept over micro-batch size, worker count, dispatcher
+// count, and MPMC queue shards — plus a simulated million-client open-loop
+// run that floods deliberately small shard rings on the queued path and
+// proves the admission accounting exact (accepted + shed + rejected ==
 // submitted, client-side tallies == server counters).
+//
+// Forcing the overflow: inline_bound() extra threads each hold an inline
+// slot inside a gated fallback of a separate "hold" controller for the
+// whole measurement, so every measured request takes the queued path.
 //
 // Self-contained and cold-cache friendly: the served network is a synthetic
 // student on the Van der Pol plant with an LQR fallback, so no trained
@@ -25,10 +31,12 @@
 //                    [--flood N] [--out=PATH]
 //        bench_serve --smoke        (tiny counts; the CI Release smoke run)
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <future>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -59,11 +67,15 @@ struct Options {
 };
 
 struct SweepPoint {
+  bool overflow;  ///< every inline slot held: the queued path answers.
   std::size_t max_batch;
   int num_workers;
-  long linger_us;
   std::size_t num_dispatchers;
   std::size_t num_shards;
+
+  [[nodiscard]] const char* path() const {
+    return overflow ? "overflow" : "inline";
+  }
 };
 
 struct Measured {
@@ -114,7 +126,6 @@ serve::ServeConfig make_config(const SweepPoint& point) {
   serve::ServeConfig config;
   config.max_batch = point.max_batch;
   config.num_workers = point.num_workers;
-  config.max_wait = std::chrono::microseconds(point.linger_us);
   config.num_dispatchers = point.num_dispatchers;
   config.num_shards = point.num_shards;
   return config;
@@ -135,12 +146,67 @@ void register_vdp(serve::ControllerServer& server, const sys::VanDerPol& vdp) {
       serve::SafetyMonitor::inside_box(vdp.safe_region(), 0.05));
 }
 
+/// Fallback that counts its calls and blocks until its gate opens.
+class GateController final : public ctrl::Controller {
+ public:
+  GateController(std::shared_ptr<std::atomic<std::size_t>> started,
+                 std::shared_future<void> gate)
+      : started_(std::move(started)), gate_(std::move(gate)) {}
+  [[nodiscard]] la::Vec act(const la::Vec&) const override {
+    started_->fetch_add(1);
+    gate_.wait();
+    return la::Vec{0.0};
+  }
+  [[nodiscard]] std::size_t state_dim() const override { return 2; }
+  [[nodiscard]] std::size_t control_dim() const override { return 1; }
+  [[nodiscard]] std::string describe() const override { return "gate"; }
+
+ private:
+  std::shared_ptr<std::atomic<std::size_t>> started_;
+  std::shared_future<void> gate_;
+};
+
+/// While alive with `engage`, holds every inline slot of `server`:
+/// inline_bound() threads block inside a gated "hold" controller, so every
+/// other request takes the queued path.
+class OverflowHold {
+ public:
+  OverflowHold(serve::ControllerServer& server, bool engage) {
+    if (!engage) return;
+    auto started = std::make_shared<std::atomic<std::size_t>>(0);
+    server.register_controller(
+        "hold", make_student(),
+        std::make_shared<GateController>(started, open_.get_future().share()),
+        serve::SafetyMonitor());  // certifies nothing: every request gates.
+    const std::size_t slots = server.inline_bound();
+    for (std::size_t k = 0; k < slots; ++k)
+      holders_.emplace_back(
+          [&server] { (void)server.submit("hold", {0.0, 0.0}).get(); });
+    while (started->load() < slots) std::this_thread::yield();
+  }
+  OverflowHold(const OverflowHold&) = delete;
+  OverflowHold& operator=(const OverflowHold&) = delete;
+  ~OverflowHold() { release(); }
+
+  void release() {
+    if (holders_.empty()) return;
+    open_.set_value();
+    for (auto& holder : holders_) holder.join();
+    holders_.clear();
+  }
+
+ private:
+  std::promise<void> open_;
+  std::vector<std::thread> holders_;
+};
+
 /// Request flood: `clients` threads submit pre-sampled states as fast as
 /// the server accepts them; latency is submit()→get() per request.
 Measured open_loop(const Options& options, const SweepPoint& point) {
   const sys::VanDerPol vdp;
   serve::ControllerServer server(make_config(point));
   register_vdp(server, vdp);
+  const OverflowHold hold(server, point.overflow);
 
   util::Rng rng(424242);
   std::vector<la::Vec> states;
@@ -185,6 +251,7 @@ Measured closed_loop(const Options& options, const SweepPoint& point) {
   const sys::VanDerPol vdp;
   serve::ControllerServer server(make_config(point));
   register_vdp(server, vdp);
+  const OverflowHold hold(server, point.overflow);
 
   Measured measured;
   std::vector<std::vector<double>> per_client(
@@ -219,10 +286,11 @@ Measured closed_loop(const Options& options, const SweepPoint& point) {
 
 /// The simulated million-client admission flood: `flood` logical clients
 /// (one request each) are multiplexed over `clients` submitter threads
-/// against deliberately tiny shard rings, so load shedding genuinely
-/// happens.  Each thread keeps a bounded window of outstanding futures —
-/// submission never waits on an answer, which is what makes the run
-/// open-loop — and tallies answered/shed client-side.  Returns false (and
+/// against deliberately tiny shard rings, with every inline slot held so
+/// the queued path's load shedding genuinely happens.  Each thread keeps a
+/// bounded window of outstanding futures — submission never waits on an
+/// answer, which is what makes the run open-loop — and tallies
+/// answered/shed client-side.  Returns false (and
 /// prints why) if the admission accounting is not exact: every submission
 /// must land in exactly one of {accepted, shed, rejected}, the client-side
 /// tallies must equal the server counters, and the per-shard breakdown must
@@ -231,15 +299,12 @@ Measured closed_loop(const Options& options, const SweepPoint& point) {
 /// million latencies would be measurement ballast.
 bool admission_flood(const Options& options, TrajectoryRow& row) {
   const sys::VanDerPol vdp;
-  serve::ServeConfig config;
-  config.max_batch = 32;
-  config.max_wait = std::chrono::microseconds(0);
-  config.num_workers = 1;
-  config.num_dispatchers = 2;
-  config.num_shards = 4;
+  row.point = {true, 32, 1, 2, 4};
+  serve::ServeConfig config = make_config(row.point);
   config.shard_capacity = 64;  // tiny rings: the flood must shed.
   serve::ControllerServer server(config);
   register_vdp(server, vdp);
+  OverflowHold hold(server, row.point.overflow);
 
   const long total = options.flood;
   const int threads_n = options.clients;
@@ -286,6 +351,7 @@ bool admission_flood(const Options& options, TrajectoryRow& row) {
     });
   }
   for (auto& thread : threads) thread.join();
+  hold.release();
   server.drain();
   row.seconds = timer.seconds();
 
@@ -300,8 +366,6 @@ bool admission_flood(const Options& options, TrajectoryRow& row) {
   row.qps = row.seconds > 0.0
                 ? static_cast<double>(client_answered) / row.seconds
                 : 0.0;
-  row.point = {config.max_batch, config.num_workers, 0,
-               config.num_dispatchers, config.num_shards};
 
   // Accept→answer latency from the serving tier's own metrics registry.
   const serve::MetricsSnapshot snap = server.metrics().snapshot();
@@ -358,8 +422,8 @@ bool admission_flood(const Options& options, TrajectoryRow& row) {
 
 std::string point_name(const char* mode, const SweepPoint& point) {
   char buf[96];
-  std::snprintf(buf, sizeof(buf), "%s/b%zu_w%d_l%ld_d%zu_s%zu", mode,
-                point.max_batch, point.num_workers, point.linger_us,
+  std::snprintf(buf, sizeof(buf), "%s/%s_b%zu_w%d_d%zu_s%zu", mode,
+                point.path(), point.max_batch, point.num_workers,
                 point.num_dispatchers, point.num_shards);
   return buf;
 }
@@ -377,15 +441,14 @@ TrajectoryRow report(util::CsvWriter& csv, const char* mode,
   row.p99_us = measured.percentile(0.99);
   row.p999_us = measured.percentile(0.999);
   row.counters = measured.counters;
-  std::printf("%-11s %6zu %7d %8ld %5zu %6zu %11.0f %11.0f %9.1f %9.1f %9.1f %7llu %8llu\n",
-              mode, point.max_batch, point.num_workers, point.linger_us,
+  std::printf("%-11s %8s %6zu %7d %5zu %6zu %11.0f %11.0f %9.1f %9.1f %9.1f %7llu %8llu\n",
+              mode, point.path(), point.max_batch, point.num_workers,
               point.num_dispatchers, point.num_shards, row.qps,
               row.qps_per_dispatcher(), row.p50_us, row.p99_us, row.p999_us,
               static_cast<unsigned long long>(row.counters.fallback),
               static_cast<unsigned long long>(row.counters.batches));
-  csv.row_text({mode, std::to_string(point.max_batch),
+  csv.row_text({mode, point.path(), std::to_string(point.max_batch),
                 std::to_string(point.num_workers),
-                std::to_string(point.linger_us),
                 std::to_string(point.num_dispatchers),
                 std::to_string(point.num_shards),
                 util::format_number(row.qps),
@@ -409,13 +472,15 @@ void write_json(const std::vector<TrajectoryRow>& rows, bool smoke,
   out.precision(12);
   out << "{\n  \"bench\": \"bench_serve\",\n  \"schema_version\": 1,\n"
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
+      << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
+      << ",\n"
       << "  \"sweep\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const TrajectoryRow& row = rows[i];
     out << "    {\"name\": \"" << row.name << "\", \"mode\": \"" << row.mode
+        << "\", \"path\": \"" << row.point.path()
         << "\", \"max_batch\": " << row.point.max_batch
         << ", \"num_workers\": " << row.point.num_workers
-        << ", \"linger_us\": " << row.point.linger_us
         << ", \"num_dispatchers\": " << row.point.num_dispatchers
         << ", \"num_shards\": " << row.point.num_shards
         << ", \"requests\": " << row.requests
@@ -438,14 +503,21 @@ void write_json(const std::vector<TrajectoryRow>& rows, bool smoke,
   // run's shed rate, and whether its exact-accounting invariant held
   // (1 = exact; the process also exits nonzero when it does not).
   double open_peak = 0.0, closed_peak = 0.0;
+  double inline_p50 = 0.0, overflow_p50 = 0.0;  // best closed-loop p50s.
   const TrajectoryRow* flood = nullptr;
   for (const TrajectoryRow& row : rows) {
     if (row.mode == "open-loop") open_peak = std::max(open_peak, row.qps);
-    if (row.mode == "closed-loop") closed_peak = std::max(closed_peak, row.qps);
+    if (row.mode == "closed-loop") {
+      closed_peak = std::max(closed_peak, row.qps);
+      double& p50 = row.point.overflow ? overflow_p50 : inline_p50;
+      p50 = p50 > 0.0 ? std::min(p50, row.p50_us) : row.p50_us;
+    }
     if (row.mode == "admission-flood") flood = &row;
   }
   out << "\n    \"open_loop_peak_qps\": " << open_peak
-      << ",\n    \"closed_loop_peak_qps\": " << closed_peak;
+      << ",\n    \"closed_loop_peak_qps\": " << closed_peak
+      << ",\n    \"closed_loop_inline_p50_us\": " << inline_p50
+      << ",\n    \"closed_loop_overflow_p50_us\": " << overflow_p50;
   if (flood != nullptr) {
     out << ",\n    \"flood_shed_rate\": " << flood->shed_rate()
         << ",\n    \"flood_qps\": " << flood->qps
@@ -498,31 +570,30 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "Sharded controller serving: micro-batched inference with "
-      "certified-safety fallback\n"
+      "Controller serving with certified-safety fallback: caller-runs "
+      "inline path, micro-batched queued path past the in-flight bound\n"
       "open-loop: %d requests / %d clients; closed-loop: %d clients x %d "
-      "steps; flood: %ld simulated clients\n"
-      "(wall-clock dispatcher scaling needs multi-core hardware; on one "
-      "core the sweep measures overhead, not parallelism)\n\n",
+      "steps; flood: %ld simulated clients; %u hardware threads\n\n",
       options.requests, options.clients, options.clients, options.steps,
-      options.flood);
-  std::printf("%-11s %6s %7s %8s %5s %6s %11s %11s %9s %9s %9s %7s %8s\n",
-              "mode", "batch", "workers", "linger", "disp", "shards", "qps",
+      options.flood, std::thread::hardware_concurrency());
+  std::printf("%-11s %8s %6s %7s %5s %6s %11s %11s %9s %9s %9s %7s %8s\n",
+              "mode", "path", "batch", "workers", "disp", "shards", "qps",
               "qps/disp", "p50_us", "p99_us", "p999_us", "fallbk", "batches");
 
   util::CsvWriter csv(util::output_dir() + "/bench_serve.csv",
-                      {"mode", "max_batch", "num_workers", "linger_us",
+                      {"mode", "path", "max_batch", "num_workers",
                        "num_dispatchers", "num_shards", "qps",
                        "qps_per_dispatcher", "p50_us", "p99_us", "p999_us",
                        "shed_rate", "fallback", "batches"});
 
-  // The sweep crosses batching shapes with the dispatcher/shard grid: the
-  // single-dispatcher points reproduce the PR 5 tier as the baseline, the
-  // sharded points exercise multi-dispatcher batch formation.
+  // Inline points: callers answer their own requests while under the
+  // in-flight bound, so the batching knobs only matter past it.  Overflow
+  // points hold every inline slot, so the queued path answers; they cross
+  // batching shapes with the dispatcher/shard grid.
   const std::vector<SweepPoint> sweep = {
-      {1, 1, 0, 1, 1},    {8, 1, 200, 1, 1},  {32, 1, 200, 1, 1},
-      {32, 2, 200, 1, 1}, {32, 2, 200, 2, 2}, {32, 4, 200, 2, 4},
-      {32, 4, 200, 4, 8},
+      {false, 32, 1, 1, 1}, {false, 32, 2, 2, 2}, {true, 1, 1, 1, 1},
+      {true, 8, 1, 1, 1},   {true, 32, 1, 1, 1},  {true, 32, 2, 1, 1},
+      {true, 32, 2, 2, 2},  {true, 32, 4, 2, 4},  {true, 32, 4, 4, 8},
   };
   std::vector<TrajectoryRow> rows;
   for (const SweepPoint& point : sweep) {
@@ -533,16 +604,16 @@ int main(int argc, char** argv) {
 
   // The admission flood: open-loop, small rings, exact accounting or bust.
   TrajectoryRow flood_row;
-  flood_row.name = "admission-flood/b32_w1_l0_d2_s4";
   flood_row.mode = "admission-flood";
   const bool flood_exact = admission_flood(options, flood_row);
+  flood_row.name = point_name("admission-flood", flood_row.point);
   std::printf(
       "\n%-11s %ld simulated clients in %.2fs: %.0f answered/s, shed rate "
       "%.4f, p50 %.1fus p99 %.1fus p999 %.1fus — accounting %s\n",
       "flood", flood_row.requests, flood_row.seconds, flood_row.qps,
       flood_row.shed_rate(), flood_row.p50_us, flood_row.p99_us,
       flood_row.p999_us, flood_exact ? "EXACT" : "VIOLATED");
-  csv.row_text({"admission-flood", "32", "1", "0", "2", "4",
+  csv.row_text({"admission-flood", flood_row.point.path(), "32", "1", "2", "4",
                 util::format_number(flood_row.qps),
                 util::format_number(flood_row.qps_per_dispatcher()),
                 util::format_number(flood_row.p50_us),

@@ -6,12 +6,13 @@
 //      teacher AW instead),
 //   3. register the student with a certified-safety monitor and the LQR as
 //      the fallback expert,
-//   4. serve a mix of in-regime and out-of-regime requests concurrently,
+//   4. serve a mix of in-regime and out-of-regime requests,
 //   5. read the primary/fallback counters and the action-deviation bound.
 //
 // The serving guarantee: every answer is bitwise identical to calling the
-// routed controller directly — micro-batching is invisible except in
-// throughput.
+// routed controller directly (act_reference) — whether the submitting
+// thread answered it or, past the in-flight bound, a dispatcher's
+// micro-batch did.
 #include <cstdio>
 #include <future>
 #include <vector>
@@ -42,15 +43,16 @@ int main() {
   std::printf("student: %zu parameters, certified Lipschitz %.2f\n",
               student->net().num_parameters(), student->lipschitz_bound());
 
-  // 3. The serving runtime: two dispatcher threads over two MPMC queue
-  //    shards, micro-batches of up to 16 requests, and a safety monitor
-  //    that only certifies states 0.2 inside the safe region X —
-  //    everything else is answered by the LQR fallback.  shard_capacity
-  //    bounds the queue depth: beyond it, submissions are load-shed with
-  //    RejectedError(kQueueFull) instead of queueing unboundedly.
+  // 3. The serving runtime and a safety monitor that only certifies states
+  //    0.2 inside the safe region X — everything else is answered by the
+  //    LQR fallback.  submit() answers on the calling thread while fewer
+  //    than inline_bound() requests are in flight; past that, requests
+  //    queue to two dispatcher threads over two MPMC shards, which run
+  //    micro-batches of up to 16.  shard_capacity bounds the queue depth:
+  //    beyond it, submissions are load-shed with RejectedError(kQueueFull)
+  //    instead of queueing unboundedly.
   serve::ServeConfig config;
   config.max_batch = 16;
-  config.max_wait = std::chrono::microseconds(200);
   config.num_dispatchers = 2;
   config.num_shards = 2;
   config.shard_capacity = 1024;
@@ -59,13 +61,16 @@ int main() {
       "vdp", student, lqr,
       serve::SafetyMonitor::inside_box(system->safe_region(), 0.2));
 
-  // 4. Concurrent requests: in-regime states plus two clearly outside the
-  //    certified region.
+  // 4. Requests: in-regime states plus two clearly outside the certified
+  //    region.  One client is under the in-flight bound, so each future is
+  //    ready when submit() returns.
   std::vector<la::Vec> states = {{0.3, -0.4}, {-0.8, 0.5},  {0.0, 0.0},
                                  {1.1, -1.2}, {2.9, 2.9},   {-2.9, -2.9}};
   std::vector<std::future<la::Vec>> futures;
   futures.reserve(states.size());
   for (const la::Vec& s : states) futures.push_back(server.submit("vdp", s));
+  std::printf("\nanswered on the caller below %zu requests in flight\n",
+              server.inline_bound());
   std::printf("\n%-18s %12s %10s\n", "state", "action", "path");
   for (std::size_t i = 0; i < states.size(); ++i) {
     const la::Vec u = futures[i].get();
@@ -78,8 +83,8 @@ int main() {
   //    an answer can drift under 0.05 observation noise.
   const serve::ServeCounters counters = server.counters("vdp");
   std::printf(
-      "\nserved %llu by k*, %llu by the LQR fallback, %llu micro-batches "
-      "(largest %llu rows)\n",
+      "\nserved %llu by k*, %llu by the LQR fallback, %llu forward passes "
+      "(largest batch %llu rows)\n",
       static_cast<unsigned long long>(counters.primary),
       static_cast<unsigned long long>(counters.fallback),
       static_cast<unsigned long long>(counters.batches),

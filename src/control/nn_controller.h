@@ -24,7 +24,7 @@ class NnController final : public Controller {
   /// Batched inference over N states via nn::Mlp::forward_batch; entry k is
   /// bitwise identical to act(states[k]) for any batch composition — the
   /// serving runtime's micro-batcher relies on this to keep batched answers
-  /// equal to the synchronous per-request path.
+  /// equal to the per-request path (ControllerServer::act_reference).
   [[nodiscard]] std::vector<la::Vec> act_batch(
       const std::vector<la::Vec>& states) const;
   [[nodiscard]] std::size_t state_dim() const override;

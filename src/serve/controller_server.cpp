@@ -29,11 +29,11 @@ double elapsed_us(std::chrono::steady_clock::time_point from,
 ControllerServer::ControllerServer(ServeConfig config,
                                    std::shared_ptr<MetricsRegistry> metrics)
     : config_(config),
-      workers_(config.synchronous ? 1 : config.num_workers),
+      inline_bound_(std::max(1U, std::thread::hardware_concurrency())),
+      workers_(config.num_workers),
       metrics_(metrics != nullptr ? std::move(metrics)
                                   : std::make_shared<MetricsRegistry>()) {
   if (config_.max_batch == 0) config_.max_batch = 1;
-  if (config_.rows_per_chunk == 0) config_.rows_per_chunk = 1;
   if (config_.num_shards == 0) config_.num_shards = 1;
   if (config_.shard_capacity == 0) config_.shard_capacity = 1;
   config_.num_dispatchers =
@@ -88,15 +88,13 @@ void ControllerServer::register_controller(
   // registration (we threw above) or after the threads exist and will be
   // joined.  Dispatchers never take registry_mutex_, so holding it here
   // cannot deadlock with them.
-  if (!config_.synchronous) {
-    Entry* raw = it->second.get();
-    raw->dispatchers.reserve(config_.num_dispatchers);
-    for (std::size_t d = 0; d < config_.num_dispatchers; ++d)
-      raw->dispatchers.push_back(std::make_unique<DispatcherState>());
-    for (std::size_t d = 0; d < config_.num_dispatchers; ++d)
-      raw->dispatchers[d]->thread =
-          std::thread([this, raw, d] { dispatch_loop(*raw, d); });
-  }
+  Entry* raw = it->second.get();
+  raw->dispatchers.reserve(config_.num_dispatchers);
+  for (std::size_t d = 0; d < config_.num_dispatchers; ++d)
+    raw->dispatchers.push_back(std::make_unique<DispatcherState>());
+  for (std::size_t d = 0; d < config_.num_dispatchers; ++d)
+    raw->dispatchers[d]->thread =
+        std::thread([this, raw, d] { dispatch_loop(*raw, d); });
 }
 
 ControllerServer::Entry& ControllerServer::find_entry(
@@ -109,20 +107,6 @@ ControllerServer::Entry& ControllerServer::find_entry(
   return *it->second;
 }
 
-std::future<la::Vec> ControllerServer::reject(Entry& entry, Request&& request,
-                                              RejectReason reason) {
-  const std::size_t home = static_cast<std::size_t>(entry.next_shard.fetch_add(
-                               1, std::memory_order_relaxed)) %
-                           entry.shards.size();
-  Counter* tally = reason == RejectReason::kQueueFull
-                       ? entry.shards[home]->shed
-                       : entry.shards[home]->rejected;
-  tally->increment();
-  std::future<la::Vec> future = request.result.get_future();
-  request.result.set_exception(std::make_exception_ptr(RejectedError(reason)));
-  return future;
-}
-
 std::future<la::Vec> ControllerServer::submit(const std::string& name,
                                               la::Vec state) {
   Entry& entry = find_entry(name);
@@ -131,67 +115,64 @@ std::future<la::Vec> ControllerServer::submit(const std::string& name,
         "ControllerServer::submit: state dimension mismatch for '" + name +
         "'");
   Request request;
-  request.entry = &entry;
   // Routing is decided per request at submission: the certificate either
   // covers this exact state or the fallback answers.  Batch composition can
   // never influence it.
   request.to_fallback = !entry.monitor.certified(state);
   request.state = std::move(state);
-
-  if (config_.synchronous) {
-    if (stopping_.load())
-      return reject(entry, std::move(request), RejectReason::kShutdown);
-    request.accepted_at = std::chrono::steady_clock::now();
-    const std::size_t home =
-        static_cast<std::size_t>(entry.next_shard.fetch_add(
-            1, std::memory_order_relaxed)) %
-        entry.shards.size();
-    entry.shards[home]->accepted->increment();
-    std::future<la::Vec> future = request.result.get_future();
-    execute_inline(request);
-    entry.latency->record_us(
-        elapsed_us(request.accepted_at, std::chrono::steady_clock::now()));
-    return future;
-  }
-
-  // Admission gate — see the shutdown-handshake audit in the header.  No
-  // lock is held anywhere in this section.
-  active_submitters_.fetch_add(1);
-  if (stopping_.load()) {
-    active_submitters_.fetch_sub(1);
-    return reject(entry, std::move(request), RejectReason::kShutdown);
-  }
   std::future<la::Vec> future = request.result.get_future();
-  request.accepted_at = std::chrono::steady_clock::now();
   const std::size_t num_shards = entry.shards.size();
   const std::size_t home = static_cast<std::size_t>(entry.next_shard.fetch_add(
                                1, std::memory_order_relaxed)) %
                            num_shards;
-  // pending_ rises BEFORE the push so the dispatcher's decrement can never
-  // run first and underflow it; backed out below on a shed.
-  pending_.fetch_add(1);
-  std::size_t landed = num_shards;
+
+  // Admission gate — see the shutdown-handshake audit in the header.  No
+  // lock is held anywhere below.
+  const std::uint64_t in_flight = pending_.fetch_add(1);
+  if (stopping_.load()) {
+    release(1);
+    entry.shards[home]->rejected->increment();
+    request.result.set_exception(
+        std::make_exception_ptr(RejectedError(RejectReason::kShutdown)));
+    return future;
+  }
+  request.accepted_at = std::chrono::steady_clock::now();
+  if (in_flight < inline_bound_) {
+    // Caller-runs: with a core to spare, answering here beats any hand-off.
+    entry.shards[home]->accepted->increment();
+    execute_inline(entry, request);
+    entry.latency->record_us(
+        elapsed_us(request.accepted_at, std::chrono::steady_clock::now()));
+    release(1);
+    return future;
+  }
   for (std::size_t k = 0; k < num_shards; ++k) {
     const std::size_t s = (home + k) % num_shards;
     if (entry.shards[s]->queue.try_push(std::move(request))) {
-      landed = s;
-      break;
+      entry.shards[s]->accepted->increment();
+      entry.dispatchers[s % entry.dispatchers.size()]->bell.ring();
+      return future;
     }
   }
-  if (landed == num_shards) {
-    // Every ring is full: shed.  The request was never published, so back
-    // out the pending count, leave the gate, and resolve the future here.
-    pending_.fetch_sub(1);
-    active_submitters_.fetch_sub(1);
-    entry.shards[home]->shed->increment();
-    request.result.set_exception(
-        std::make_exception_ptr(RejectedError(RejectReason::kQueueFull)));
-    return future;
-  }
-  entry.shards[landed]->accepted->increment();
-  active_submitters_.fetch_sub(1);
-  entry.dispatchers[landed % entry.dispatchers.size()]->bell.ring();
+  // Every ring is full: shed.  The request was never published, so back
+  // out the in-flight count and resolve the future here.
+  release(1);
+  entry.shards[home]->shed->increment();
+  request.result.set_exception(
+      std::make_exception_ptr(RejectedError(RejectReason::kQueueFull)));
   return future;
+}
+
+la::Vec ControllerServer::answer(const Entry& entry, const la::Vec& state,
+                                 bool certified, bool& by_primary) {
+  by_primary = certified;
+  if (certified) {
+    la::Vec action = entry.primary->act(state);
+    // Fail closed: a non-finite primary action is never served.
+    if (la::all_finite(action)) return action;
+    by_primary = false;
+  }
+  return entry.fallback->act(state);
 }
 
 la::Vec ControllerServer::act_reference(const std::string& name,
@@ -201,8 +182,8 @@ la::Vec ControllerServer::act_reference(const std::string& name,
     throw std::invalid_argument(
         "ControllerServer::act_reference: state dimension mismatch for '" +
         name + "'");
-  if (!entry.monitor.certified(state)) return entry.fallback->act(state);
-  return entry.primary->act(state);
+  bool by_primary = false;
+  return answer(entry, state, entry.monitor.certified(state), by_primary);
 }
 
 ServeCounters ControllerServer::counters(const std::string& name) const {
@@ -226,17 +207,25 @@ ServeCounters ControllerServer::counters(const std::string& name) const {
   return out;
 }
 
-void ControllerServer::execute_inline(Request& request) {
+void ControllerServer::execute_inline(Entry& entry, Request& request) {
+  bool by_primary = false;
   try {
-    if (request.to_fallback) {
-      request.entry->fallback_count->increment();
-      request.result.set_value(request.entry->fallback->act(request.state));
-    } else {
-      request.entry->primary_count->increment();
-      request.entry->batch_count->increment();
-      bump_max(request.entry->max_batch_rows, 1);
-      request.result.set_value(request.entry->primary->act(request.state));
-    }
+    request.result.set_value(
+        answer(entry, request.state, !request.to_fallback, by_primary));
+  } catch (...) {
+    request.result.set_exception(std::current_exception());
+  }
+  if (!request.to_fallback) {
+    entry.batch_count->increment();
+    bump_max(entry.max_batch_rows, 1);
+  }
+  (by_primary ? entry.primary_count : entry.fallback_count)->increment();
+}
+
+void ControllerServer::fall_back(Entry& entry, Request& request) {
+  entry.fallback_count->increment();
+  try {
+    request.result.set_value(entry.fallback->act(request.state));
   } catch (...) {
     request.result.set_exception(std::current_exception());
   }
@@ -256,48 +245,50 @@ void ControllerServer::execute_slice(Entry& entry,
     (request.to_fallback ? fallbacks : rows).push_back(&request);
 
   util::ThreadPool* pool = workers_.pool();
+  util::run_chunks(pool, fallbacks.size(),
+                   [&](std::size_t i) { fall_back(entry, *fallbacks[i]); });
+  if (rows.empty()) return;
 
-  if (!fallbacks.empty()) {
-    entry.fallback_count->add(fallbacks.size());
-    util::run_chunks(pool, fallbacks.size(), [&](std::size_t i) {
-      Request& request = *fallbacks[i];
-      try {
-        request.result.set_value(entry.fallback->act(request.state));
-      } catch (...) {
-        request.result.set_exception(std::current_exception());
-      }
-    });
-  }
-
-  if (!rows.empty()) {
-    entry.primary_count->add(rows.size());
-    entry.batch_count->increment();
-    bump_max(entry.max_batch_rows, rows.size());
-    // Rows are independent and each row is bitwise identical to the scalar
-    // path, so slicing the batch across workers cannot change any answer.
-    // Every chunk covers a non-empty [lo, hi) — act_batch (and through it
-    // Matrix::from_rows, which rejects empty input) never sees an empty
-    // slice.
-    const std::size_t grain = config_.rows_per_chunk;
-    const std::size_t chunks = (rows.size() + grain - 1) / grain;
-    util::run_chunks(pool, chunks, [&](std::size_t c) {
-      const std::size_t lo = c * grain;
-      const std::size_t hi = std::min(rows.size(), lo + grain);
-      std::vector<la::Vec> states;
-      states.reserve(hi - lo);
-      // The state is dead once the batch is assembled: move, don't copy.
+  entry.batch_count->increment();
+  bump_max(entry.max_batch_rows, rows.size());
+  // Rows are independent and each row is bitwise identical to the scalar
+  // path, so slicing the batch across workers cannot change any answer.
+  // Every chunk covers a non-empty [lo, hi) — act_batch (and through it
+  // Matrix::from_rows, which rejects empty input) never sees an empty
+  // slice.
+  const std::size_t workers = pool != nullptr ? pool->size() : 1;
+  const std::size_t grain = (rows.size() + workers - 1) / workers;
+  const std::size_t chunks = (rows.size() + grain - 1) / grain;
+  util::run_chunks(pool, chunks, [&](std::size_t c) {
+    const std::size_t lo = c * grain;
+    const std::size_t hi = std::min(rows.size(), lo + grain);
+    std::vector<la::Vec> states;
+    states.reserve(hi - lo);
+    // The state is dead once the batch is assembled: move, don't copy.
+    for (std::size_t i = lo; i < hi; ++i)
+      states.push_back(std::move(rows[i]->state));
+    std::vector<la::Vec> actions;
+    try {
+      actions = entry.primary->act_batch(states);
+    } catch (...) {
+      entry.primary_count->add(hi - lo);
       for (std::size_t i = lo; i < hi; ++i)
-        states.push_back(std::move(rows[i]->state));
-      try {
-        std::vector<la::Vec> actions = entry.primary->act_batch(states);
-        for (std::size_t i = lo; i < hi; ++i)
-          rows[i]->result.set_value(std::move(actions[i - lo]));
-      } catch (...) {
-        for (std::size_t i = lo; i < hi; ++i)
-          rows[i]->result.set_exception(std::current_exception());
+        rows[i]->result.set_exception(std::current_exception());
+      return;
+    }
+    std::uint64_t served = 0;
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (la::all_finite(actions[i - lo])) {
+        ++served;
+        rows[i]->result.set_value(std::move(actions[i - lo]));
+      } else {
+        // Fail closed, as act_reference does.
+        rows[i]->state = std::move(states[i - lo]);
+        fall_back(entry, *rows[i]);
       }
-    });
-  }
+    }
+    entry.primary_count->add(served);
+  });
 }
 
 void ControllerServer::dispatch_loop(Entry& entry,
@@ -332,52 +323,37 @@ void ControllerServer::dispatch_loop(Entry& entry,
     }
   };
 
+  // Read order matters (shutdown-handshake audit in the header): stopping_
+  // first, then pending_ == 0.
+  const auto quiesced = [&] {
+    return stopping_.load() && pending_.load() == 0;
+  };
+
   std::vector<Request> slice;
   slice.reserve(config_.max_batch);
   for (;;) {
     slice.clear();
     drain_owned(slice);
     if (slice.empty()) {
-      // Exit-check read order matters (shutdown-handshake audit in the
-      // header): stopping_ first, then active_submitters_ == 0, then a
-      // final emptiness sweep that is now exact because all producers are
-      // quiesced and this thread is the sole consumer of its shards.
-      if (stopping_.load() && active_submitters_.load() == 0 &&
-          !owned_nonempty())
-        return;
-      static_cast<void>(bell.wait_for(config_.idle_wait, [&] {
-        return stopping_.load() || owned_nonempty();
-      }));
+      if (quiesced()) return;
+      static_cast<void>(bell.wait_for(
+          config_.idle_wait, [&] { return owned_nonempty() || quiesced(); }));
       continue;
-    }
-    if (!stopping_.load() && config_.max_wait.count() > 0 &&
-        slice.size() < config_.max_batch) {
-      // Linger briefly: bounded waits buy a fuller GEMM.  A full batch or
-      // shutdown cuts the linger short; the deadline bounds it.
-      const auto deadline = std::chrono::steady_clock::now() + config_.max_wait;
-      while (slice.size() < config_.max_batch && !stopping_.load()) {
-        const auto now = std::chrono::steady_clock::now();
-        if (now >= deadline) break;
-        const auto nap = std::min<std::chrono::steady_clock::duration>(
-            deadline - now, config_.idle_wait);
-        static_cast<void>(bell.wait_for(nap, [&] {
-          return stopping_.load() || owned_nonempty();
-        }));
-        drain_owned(slice);
-      }
     }
     execute_slice(entry, slice);
     const auto done = std::chrono::steady_clock::now();
     for (const Request& request : slice)
       entry.latency->record_us(elapsed_us(request.accepted_at, done));
-    // The futures above are all satisfied; release the pending count and
-    // wake drain() if this was the last outstanding work anywhere.
-    if (pending_.fetch_sub(slice.size()) == slice.size()) drain_bell_.ring();
+    release(slice.size());
   }
 }
 
+void ControllerServer::release(std::uint64_t answered) {
+  // Wake drain() when this was the last outstanding work anywhere.
+  if (pending_.fetch_sub(answered) == answered) drain_bell_.ring();
+}
+
 void ControllerServer::drain() {
-  if (config_.synchronous) return;
   // Timed waits only (Doorbell contract): a wakeup racing the last
   // decrement costs at most one poll period, never a hang.
   while (!drain_bell_.wait_for(std::chrono::milliseconds(1),
@@ -386,8 +362,14 @@ void ControllerServer::drain() {
 }
 
 void ControllerServer::stop() {
+  {
+    // Under the lock, so a racing register_controller either finishes
+    // first (its dispatchers are joined below) or sees stopping_ and throws.
+    util::MutexLock lock(registry_mutex_);
+    stopping_.store(true);
+  }
+  drain();
   util::MutexLock lock(registry_mutex_);
-  stopping_.store(true);
   for (auto& [name, entry] : entries_) {
     for (auto& dispatcher : entry->dispatchers) dispatcher->bell.ring();
   }

@@ -1,38 +1,39 @@
-// Controller-serving runtime: sharded micro-batched inference with a
-// certified-safety fallback, admission control, and SLO metrics.
+// Controller-serving runtime: caller-runs inference with a certified-safety
+// fallback, sharded micro-batches past an in-flight bound, admission
+// control, and SLO metrics.
 //
-// The pipeline's end product κ* is a single small network with a certified
-// Lipschitz bound — ideal for high-throughput serving, since N concurrent
-// requests collapse into one layer-wise GEMM (nn::Mlp::forward_batch).
-// Every registered controller gets its own serving tier:
+// κ*'s forward pass takes about a microsecond, far less than a thread
+// hand-off, so submit() answers on the calling thread while fewer than
+// inline_bound() requests (the host's hardware concurrency) are in flight,
+// and queues to dispatcher threads only past that bound:
 //
-//   submit() ── admission gate ──► MPMC shard queues ──► dispatcher threads
-//               (bounded depth,     (serve/mpmc_queue.h,  (one per shard
-//                shed-with-reason)   num_shards rings)     group; micro-batch
-//                                                          + linger, no
-//                                                          global lock)
+//   submit() ── in flight < bound ──► route + execute on the caller
+//      │
+//      └─ otherwise ── admission gate ──► MPMC shard queues ──► dispatchers
+//                      (bounded depth,    (serve/mpmc_queue.h,  (micro-batch
+//                       shed-with-reason)  num_shards rings)     GEMM, no lock)
 //
 // Each controller runs `num_dispatchers` dispatcher threads; dispatcher d
-// owns shards {s : s mod D == d} and forms micro-batches (bounded by
-// `max_batch`, lingering up to `max_wait`) exclusively from its own shards,
-// so batch formation never takes a lock shared with other dispatchers or
-// with submitters.  A request whose home shard ring is full tries the
-// remaining shards once; if every ring is full it is *shed*: the future
-// resolves to a RejectedError(kQueueFull) and the shard's shed counter
-// bumps.  Requests whose state leaves the certified region are answered by
-// the trusted fallback expert (SafetyMonitor routing), and per-controller
-// routing/batch/admission counters plus a fixed-bucket latency histogram
-// are published through a serve::MetricsRegistry.
+// owns shards {s : s mod D == d} and executes whatever its shards hold (up
+// to `max_batch` requests) as one batch, never waiting for a batch to fill:
+// past the bound there is already a backlog.  A request whose home shard
+// ring is full tries the remaining shards once; if every ring is full it is
+// *shed*: the future resolves to a RejectedError(kQueueFull) and the shard's
+// shed counter bumps.  Requests whose state leaves the certified region, or
+// whose primary action is not finite, are answered by the trusted fallback
+// expert, and per-controller routing/batch/admission counters plus a
+// fixed-bucket latency histogram are published through a
+// serve::MetricsRegistry.
 //
-// Determinism: batching never changes an answer.  forward_batch rows are
-// bitwise identical to the scalar forward path, so every request receives
-// exactly the action the synchronous path (`synchronous = true`, or
-// act_reference) produces, for ANY dispatcher / shard / batch-size / worker
-// / arrival-order configuration — pinned by test_serve across the
-// {1,2,4} dispatchers × {1,2,8} shards sweep.  Only *which requests share a
-// GEMM* is scheduling-dependent, and that is observable solely through the
-// batch counters.  Certificate lookups route through SafetyMonitor's
-// verify::outward()-backed, NaN-closed predicates in every mode.
+// Determinism: neither path changes an answer.  The inline path applies
+// act_reference's rule, and forward_batch rows are bitwise identical to the
+// scalar forward path, so every request receives exactly act_reference's
+// action for ANY dispatcher / shard / batch-size / worker / arrival-order
+// configuration — pinned by test_serve on both paths across the {1,2,4}
+// dispatchers × {1,2,8} shards sweep.  Only *which path answers* and *which
+// requests share a GEMM* are scheduling-dependent, and they are observable
+// solely through the batch counters.  Certificate lookups route through
+// SafetyMonitor's verify::outward()-backed, NaN-closed predicates.
 #pragma once
 
 #include <atomic>
@@ -60,32 +61,24 @@
 namespace cocktail::serve {
 
 struct ServeConfig {
-  /// Upper bound on requests drained into one dispatch cycle.
+  /// Upper bound on queued requests a dispatcher executes as one batch.
   std::size_t max_batch = 32;
-  /// How long a dispatcher lingers for a partial batch to fill before
-  /// executing what it has (0 = dispatch whatever is queued immediately).
-  std::chrono::microseconds max_wait{200};
-  /// util::WorkerScope convention for batch execution: 0 = shared pool,
-  /// 1 = serial on the dispatcher thread, k > 1 = dedicated pool of k.
+  /// util::WorkerScope convention for queued batch execution: 0 = shared
+  /// pool, 1 = serial on the dispatcher thread, k > 1 = dedicated pool of
+  /// k.  A batch splits into chunks of ceil(rows / workers) rows.
   int num_workers = 1;
-  /// Rows per GEMM sub-batch when a primary batch fans across workers.
-  std::size_t rows_per_chunk = 16;
   /// Dispatcher threads per registered controller.  Clamped to
   /// [1, num_shards]: a dispatcher with no shards would have nothing to do.
   std::size_t num_dispatchers = 1;
   /// MPMC submission-queue shards per registered controller.
   std::size_t num_shards = 1;
   /// Bounded depth of each shard ring (rounded up to a power of two).
-  /// num_shards * shard_capacity is the admission bound: beyond it,
-  /// submissions are shed with RejectedError(kQueueFull).
+  /// num_shards * shard_capacity is the admission bound of the queued
+  /// path: beyond it, submissions are shed with RejectedError(kQueueFull).
   std::size_t shard_capacity = 1024;
   /// Idle-dispatcher doorbell timeout: the backstop poll period bounding
   /// the cost of any theoretically missed wakeup (util::Doorbell).
   std::chrono::microseconds idle_wait{100};
-  /// Synchronous mode: submit() executes inline on the calling thread
-  /// (batch of one, no dispatcher threads, no queues) — the deterministic
-  /// reference configuration for tests.
-  bool synchronous = false;
 };
 
 /// Why an admitted-or-not request's future carries an exception instead of
@@ -117,7 +110,7 @@ class RejectedError : public std::runtime_error {
 
 /// Per-shard admission tallies.
 struct AdmissionCounters {
-  std::uint64_t accepted = 0;  ///< enqueued (or executed inline) via this shard.
+  std::uint64_t accepted = 0;  ///< answered inline or enqueued via this shard.
   std::uint64_t shed = 0;      ///< load-shed with this shard as home.
   std::uint64_t rejected = 0;  ///< refused after stop() with this shard as home.
 };
@@ -129,8 +122,8 @@ struct AdmissionCounters {
 /// mid-flight reads may see per-counter skew.
 struct ServeCounters {
   std::uint64_t primary = 0;   ///< requests answered by the served network.
-  std::uint64_t fallback = 0;  ///< requests routed to the fallback expert.
-  std::uint64_t batches = 0;   ///< primary micro-batches executed.
+  std::uint64_t fallback = 0;  ///< uncertified, or non-finite primary action.
+  std::uint64_t batches = 0;   ///< primary passes (inline: a batch of one).
   std::uint64_t max_batch_rows = 0;  ///< largest primary batch observed.
   std::uint64_t accepted = 0;  ///< admitted requests (sum over shards).
   std::uint64_t shed = 0;      ///< load-shed requests (sum over shards).
@@ -159,20 +152,30 @@ class ControllerServer {
                            std::shared_ptr<const ctrl::NnController> primary,
                            ctrl::ControllerPtr fallback, SafetyMonitor monitor);
 
-  /// Enqueues one inference request; the future carries the action, the
-  /// exception the controller threw, or a RejectedError (load shed /
-  /// post-stop — see RejectedError for the pinned contract).  Safe to call
-  /// from any number of threads.  Throws std::invalid_argument for an
-  /// unknown name or a state of the wrong dimension.
+  /// Serves one inference request: on the calling thread (the future is
+  /// ready on return) while fewer than inline_bound() requests are in
+  /// flight, through the shard queues otherwise.  The future carries the
+  /// action, the exception the controller threw, or a RejectedError (load
+  /// shed / post-stop — see RejectedError for the pinned contract).  Safe
+  /// to call from any number of threads.  Throws std::invalid_argument for
+  /// an unknown name or a state of the wrong dimension.
   [[nodiscard]] std::future<la::Vec> submit(const std::string& name,
                                             la::Vec state);
 
-  /// The pure per-request reference path: same routing, same answer, no
-  /// queue, no counters.  What submit() must bitwise-reproduce.
+  /// The pure per-request reference path, no queue, no counters: the
+  /// primary's action when the monitor certifies `state` and that action
+  /// is finite, the fallback's otherwise.  What submit() must
+  /// bitwise-reproduce.
   [[nodiscard]] la::Vec act_reference(const std::string& name,
                                       const la::Vec& state) const;
 
   [[nodiscard]] ServeCounters counters(const std::string& name) const;
+
+  /// In-flight requests (server-wide) below which submit() runs inline:
+  /// the host's hardware concurrency, at least 1, read at construction.
+  [[nodiscard]] std::size_t inline_bound() const noexcept {
+    return inline_bound_;
+  }
 
   /// The registry this server publishes serve.<name>.* metrics into.
   [[nodiscard]] MetricsRegistry& metrics() noexcept { return *metrics_; }
@@ -180,12 +183,14 @@ class ControllerServer {
     return metrics_;
   }
 
-  /// Blocks until every admitted request has been answered.
+  /// Blocks until every admitted request has been answered, inline ones
+  /// included.
   void drain();
 
-  /// Drains outstanding requests, joins every dispatcher, and rejects
-  /// subsequent submissions (RejectedError(kShutdown) futures).  Idempotent;
-  /// invoked by the destructor.
+  /// Rejects subsequent submissions (RejectedError(kShutdown) futures),
+  /// waits until every request admitted before it — queued or running
+  /// inline on a caller's thread — is answered, and joins every
+  /// dispatcher.  Idempotent; invoked by the destructor.
   void stop();
 
  private:
@@ -198,30 +203,30 @@ class ControllerServer {
   // hand-off at its declaration.
   //
   // Shutdown handshake (the "shutdown-handshake audit" mpmc_queue.h points
-  // at) — three seq_cst atomics form a Dekker-style gate with NO lock held
-  // on the submit fast path:
+  // at) — two seq_cst atomics form a Dekker-style gate with NO lock held on
+  // the submit fast path:
   //
-  //   stopping_            stop() store-true (seq_cst) before ringing and
-  //                        joining dispatchers.
-  //   active_submitters_   submit() increments (seq_cst RMW), THEN checks
-  //                        stopping_: if set it backs out and rejects; if
-  //                        clear it pushes and decrements (seq_cst RMW).
-  //   A dispatcher exits only when stopping_ && active_submitters_ == 0 &&
-  //   its shards are empty, in that read order.  Reading 0 from the seq_cst
-  //   decrement synchronizes-with it, so every counted submitter's push
-  //   happens-before the final emptiness check — a request is either
-  //   observed by the exit check or its submitter saw stopping_ and
-  //   rejected.  No admitted request is ever stranded.  (Seq_cst on both
-  //   sides is what closes the store/load race the classic Dekker pattern
-  //   needs; acquire/release alone would not.)
+  //   pending_    admitted-but-unanswered requests, inline and queued, over
+  //               every controller: the in-flight count.  submit()
+  //               increments it (seq_cst RMW) FIRST — the value it read
+  //               picks the inline or the queued path — THEN checks
+  //               stopping_.  If set, it backs out and rejects; if clear,
+  //               the request is admitted and the count falls only after
+  //               its future is satisfied (by the caller inline, by the
+  //               dispatcher after a batch) or its shed is settled.
+  //   stopping_   stop() store-true (seq_cst), then waits for
+  //               pending_ == 0 (drain()), then rings and joins the
+  //               dispatchers.
   //
-  //   pending_             admitted-but-unanswered request count, seq_cst.
-  //                        Incremented by the submitter BEFORE try_push (so
-  //                        a dispatcher finishing the request first can
-  //                        never underflow it), decremented by the
-  //                        dispatcher after the futures are satisfied, and
-  //                        backed out by the submitter on a shed.  drain()
-  //                        waits on pending_ == 0 via drain_bell_.
+  //   In the seq_cst total order a submitter's increment either precedes
+  //   the store — then stop() reads it and waits for that request — or
+  //   follows it, and the submitter then reads stopping_ and rejects.  So
+  //   once stop() (or a dispatcher) reads stopping_ and then pending_ == 0,
+  //   no request is running, queued or about to be, and none ever will be:
+  //   a dispatcher exits on exactly that read, and no admitted request is
+  //   ever stranded.  (Seq_cst on both sides is what closes the store/load
+  //   race the classic Dekker pattern needs; acquire/release alone would
+  //   not.)  drain() waits on pending_ == 0 via drain_bell_.
   //
   // Doorbells: util::Doorbell documents its own contract; all dispatcher
   // waits are timed by config_.idle_wait, so no lost wakeup can hang.
@@ -230,7 +235,6 @@ class ControllerServer {
   struct Entry;
 
   struct Request {
-    Entry* entry = nullptr;
     la::Vec state;
     bool to_fallback = false;
     std::promise<la::Vec> result;
@@ -276,28 +280,34 @@ class ControllerServer {
 
   [[nodiscard]] Entry& find_entry(const std::string& name) const
       COCKTAIL_EXCLUDES(registry_mutex_);
-  [[nodiscard]] std::future<la::Vec> reject(Entry& entry, Request&& request,
-                                            RejectReason reason);
-  void execute_inline(Request& request);
+  /// act_reference's rule: the primary's action when `certified` and
+  /// finite, the fallback's otherwise.  `by_primary` says which controller
+  /// answered (or threw).
+  [[nodiscard]] static la::Vec answer(const Entry& entry,
+                                      const la::Vec& state, bool certified,
+                                      bool& by_primary);
+  /// Answers `request` with the fallback's action (or exception), counted.
+  static void fall_back(Entry& entry, Request& request);
+  void execute_inline(Entry& entry, Request& request);
   void execute_slice(Entry& entry, std::vector<Request>& slice);
+  void release(std::uint64_t answered);
   void dispatch_loop(Entry& entry, std::size_t dispatcher_index);
 
   ServeConfig config_;
+  std::size_t inline_bound_;
   util::WorkerScope workers_;
   std::shared_ptr<MetricsRegistry> metrics_;
 
   // registry_mutex_ covers the name -> Entry map and the dispatcher
   // lifecycle (register spawns and stop() joins under it).  The submit fast
-  // path holds NO lock between the active_submitters_ increment and
-  // decrement, so stop() joining under the lock cannot deadlock with
-  // submitters.
+  // path holds NO lock once it has its Entry, and stop() waits for admitted
+  // requests without the lock, so neither can deadlock with submitters.
   mutable util::Mutex registry_mutex_;
   std::map<std::string, std::unique_ptr<Entry>> entries_
       COCKTAIL_GUARDED_BY(registry_mutex_);
 
   // Shutdown/drain gate — see the memory-order audit above.
   std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> active_submitters_{0};
   std::atomic<std::uint64_t> pending_{0};
   util::Doorbell drain_bell_;
 };

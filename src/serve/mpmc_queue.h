@@ -29,10 +29,9 @@
 //                   payload ordering rides on cell.sequence (above).
 //   empty()/approx_size  Relaxed ticket reads: a monitoring snapshot that
 //                   may be stale under concurrency.  It is exact only when
-//                   the caller has externally quiesced one side — the
-//                   dispatcher shutdown path reads it after the submitter
-//                   gate in ControllerServer proves no producer is active,
-//                   and it is the shard's sole consumer (see the
+//                   the caller has externally quiesced one side.  The
+//                   dispatcher reads it only as a wake-up hint; its exit
+//                   rests on ControllerServer's in-flight count (see the
 //                   shutdown-handshake audit in controller_server.h).
 //
 // No determinism burden: which requests share a queue (and hence a GEMM

@@ -1,9 +1,10 @@
 // Tests for the serving runtime (src/serve): SafetyMonitor region
-// semantics, sharded micro-batched dispatch bitwise-matching the synchronous
-// reference path across dispatcher/shard/batch-size/worker/linger
-// configurations, fallback routing and admission control with exact
-// counters, the pinned submit-after-shutdown contract, the SLO metrics
-// registry, and cached-artifact loading.
+// semantics, the caller-runs path and the queued micro-batch path both
+// bitwise-matching act_reference across dispatcher/shard/batch-size/worker
+// configurations, fallback routing (uncertified states and non-finite
+// primary actions) and admission control with exact counters, the drain /
+// stop contract over inline work, the pinned submit-after-shutdown
+// contract, the SLO metrics registry, and cached-artifact loading.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -311,16 +312,70 @@ TEST(SafetyMonitor, ActionDeviationBoundUsesTheCertifiedLipschitz) {
             0.0);
 }
 
-// --- ControllerServer: synchronous mode ------------------------------------
+// --- ControllerServer: the caller-runs path --------------------------------
 
-serve::ServeConfig sync_config() {
-  serve::ServeConfig config;
-  config.synchronous = true;
-  return config;
-}
+/// Fallback that reports when act() starts and then blocks until released —
+/// lets tests hold a caller thread or a dispatcher inside a request.
+class GateController final : public ctrl::Controller {
+ public:
+  static constexpr double kGateMark = 7.5;
 
-TEST(ControllerServer, SynchronousPrimaryAndFallbackRouting) {
-  serve::ControllerServer server(sync_config());
+  GateController(std::shared_ptr<std::atomic<int>> started,
+                 std::shared_future<void> release)
+      : started_(std::move(started)), release_(std::move(release)) {}
+
+  [[nodiscard]] Vec act(const Vec&) const override {
+    started_->fetch_add(1);
+    release_.wait();
+    return la::constant(1, kGateMark);
+  }
+  [[nodiscard]] std::size_t state_dim() const override { return 2; }
+  [[nodiscard]] std::size_t control_dim() const override { return 1; }
+  [[nodiscard]] std::string describe() const override { return "gate"; }
+
+ private:
+  std::shared_ptr<std::atomic<int>> started_;
+  std::shared_future<void> release_;
+};
+
+/// Holds every inline slot of `server`: inline_bound() caller threads each
+/// block inside the gated fallback of a separate "wedge" controller, so
+/// until release() every other submission takes the queued path.
+class InlineWedge {
+ public:
+  explicit InlineWedge(serve::ControllerServer& server)
+      : started_(std::make_shared<std::atomic<int>>(0)),
+        gate_(release_.get_future().share()) {
+    server.register_controller(
+        "wedge", make_student(),
+        std::make_shared<GateController>(started_, gate_),
+        serve::SafetyMonitor());  // certifies nothing: everything gates.
+    const int slots = static_cast<int>(server.inline_bound());
+    for (int k = 0; k < slots; ++k)
+      callers_.emplace_back(
+          [&server] { (void)server.submit("wedge", {0.0, 0.0}).get(); });
+    while (started_->load() < slots) std::this_thread::yield();
+  }
+  InlineWedge(const InlineWedge&) = delete;
+  InlineWedge& operator=(const InlineWedge&) = delete;
+  ~InlineWedge() { release(); }
+
+  void release() {
+    if (callers_.empty()) return;
+    release_.set_value();
+    for (auto& caller : callers_) caller.join();
+    callers_.clear();
+  }
+
+ private:
+  std::shared_ptr<std::atomic<int>> started_;
+  std::promise<void> release_;
+  std::shared_future<void> gate_;
+  std::vector<std::thread> callers_;
+};
+
+TEST(ControllerServer, InlinePrimaryAndFallbackRouting) {
+  serve::ControllerServer server;
   const auto student = make_student();
   server.register_controller(
       "vdp", student, std::make_shared<MarkerController>(2, 1),
@@ -330,7 +385,10 @@ TEST(ControllerServer, SynchronousPrimaryAndFallbackRouting) {
   const Vec outside = {2.0, 0.0};
   auto in_future = server.submit("vdp", inside);
   auto out_future = server.submit("vdp", outside);
+  // Under the in-flight bound the caller answers: ready on return.
   ASSERT_EQ(in_future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  ASSERT_EQ(out_future.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
 
   // In-regime: exactly the network's action.  Out-of-regime: verifiably the
@@ -356,7 +414,7 @@ TEST(ControllerServer, NonFiniteSubmitsAreAnsweredByTheFallback) {
   for (const auto& monitor :
        {serve::SafetyMonitor::trust_all(),
         serve::SafetyMonitor::inside_box(unit_box())}) {
-    serve::ControllerServer server(sync_config());
+    serve::ControllerServer server;
     server.register_controller(
         "vdp", student, std::make_shared<MarkerController>(2, 1), monitor);
     const std::vector<Vec> bad_states = {
@@ -372,8 +430,102 @@ TEST(ControllerServer, NonFiniteSubmitsAreAnsweredByTheFallback) {
   }
 }
 
+/// A primary whose action overflows: u = 10 * (1e308 * x0 - 1e308 * x1) is
+/// finite near the origin, ±inf further out, and NaN where the two products
+/// are infinities of opposite sign.
+std::shared_ptr<const ctrl::NnController> make_overflowing_student() {
+  nn::Mlp net = nn::Mlp::make(2, {}, 1, nn::Activation::kIdentity,
+                              nn::Activation::kIdentity, 1);
+  nn::DenseLayer& layer = net.layers()[0];
+  layer.w(0, 0) = 1e308;
+  layer.w(0, 1) = -1e308;
+  layer.b[0] = 0.0;
+  return std::make_shared<const ctrl::NnController>(std::move(net), Vec{10.0},
+                                                    "overflow");
+}
+
+const std::vector<Vec> kFiniteStates = {{0.01, 0.0}, {0.0, 0.01}, {0.0, 0.0}};
+const std::vector<Vec> kPoisonedStates = {{0.5, 0.0}, {-0.5, 0.0}, {2.0, 2.0}};
+
+// A certified state whose primary action is not finite fails closed: the
+// fallback answers it and it counts as a fallback, in act_reference and on
+// the inline path alike.
+TEST(ControllerServer, NonFinitePrimaryActionsFailClosed) {
+  const auto primary = make_overflowing_student();
+  for (const Vec& s : kFiniteStates)
+    ASSERT_TRUE(la::all_finite(primary->act(s)));
+  for (const Vec& s : kPoisonedStates)
+    ASSERT_FALSE(la::all_finite(primary->act(s)));
+  ASSERT_TRUE(std::isnan(primary->act(kPoisonedStates.back())[0]));
+
+  serve::ControllerServer server;
+  server.register_controller("vdp", primary,
+                             std::make_shared<MarkerController>(2, 1),
+                             serve::SafetyMonitor::trust_all());
+  for (std::size_t k = 0; k < kFiniteStates.size(); ++k) {
+    const Vec& good = kFiniteStates[k];
+    const Vec& bad = kPoisonedStates[k];
+    EXPECT_EQ(server.act_reference("vdp", good), primary->act(good));
+    EXPECT_EQ(server.act_reference("vdp", bad), Vec{MarkerController::kMark});
+    EXPECT_EQ(server.submit("vdp", good).get(), primary->act(good));
+    EXPECT_EQ(server.submit("vdp", bad).get(), Vec{MarkerController::kMark});
+  }
+  const auto counters = server.counters("vdp");
+  EXPECT_EQ(counters.primary, kFiniteStates.size());
+  EXPECT_EQ(counters.fallback, kPoisonedStates.size());
+  EXPECT_EQ(counters.batches, kFiniteStates.size() + kPoisonedStates.size());
+  EXPECT_EQ(counters.primary + counters.fallback, counters.accepted);
+}
+
+// The queued path applies the same rule per row: one GEMM batch mixing
+// finite and non-finite primary actions serves the finite rows and sends
+// the rest to the fallback.  With every inline slot held, an uncertified
+// request wedges the dispatcher in the gated fallback, so the mixed
+// requests wait in the ring and are popped as one batch.
+TEST(ControllerServer, NonFinitePrimaryRowsFailClosedInAQueuedBatch) {
+  auto started = std::make_shared<std::atomic<int>>(0);
+  std::promise<void> release;
+  const std::shared_future<void> release_future =
+      release.get_future().share();
+  const auto primary = make_overflowing_student();
+  serve::ServeConfig config;
+  config.max_batch = 16;
+  serve::ControllerServer server(config);
+  server.register_controller(
+      "vdp", primary, std::make_shared<GateController>(started, release_future),
+      serve::SafetyMonitor::inside_box(sys::Box{{-3.0, -3.0}, {3.0, 3.0}}));
+  const Vec gate_action = la::constant(1, GateController::kGateMark);
+  InlineWedge wedge(server);
+
+  auto wedged = server.submit("vdp", {5.0, 5.0});  // uncertified: gates.
+  while (started->load() < 1) std::this_thread::yield();
+  std::vector<Vec> mixed;
+  std::vector<std::future<Vec>> futures;
+  for (std::size_t k = 0; k < kFiniteStates.size(); ++k) {
+    for (const Vec& s : {kFiniteStates[k], kPoisonedStates[k]}) {
+      mixed.push_back(s);
+      futures.push_back(server.submit("vdp", s));
+    }
+  }
+  release.set_value();
+  EXPECT_EQ(wedged.get(), gate_action);
+  for (std::size_t i = 0; i < mixed.size(); ++i) {
+    const Vec action = futures[i].get();
+    EXPECT_EQ(action, server.act_reference("vdp", mixed[i])) << "row " << i;
+    EXPECT_EQ(action, i % 2 == 0 ? primary->act(mixed[i]) : gate_action)
+        << "row " << i;
+  }
+  wedge.release();
+  server.drain();
+  const auto counters = server.counters("vdp");
+  EXPECT_EQ(counters.max_batch_rows, mixed.size());  // one mixed batch.
+  EXPECT_EQ(counters.primary, kFiniteStates.size());
+  EXPECT_EQ(counters.fallback, 1 + kPoisonedStates.size());
+  EXPECT_EQ(counters.primary + counters.fallback, counters.accepted);
+}
+
 TEST(ControllerServer, ReferencePathTakesNoCounters) {
-  serve::ControllerServer server(sync_config());
+  serve::ControllerServer server;
   const auto student = make_student();
   server.register_controller(
       "vdp", student, std::make_shared<MarkerController>(2, 1),
@@ -387,7 +539,7 @@ TEST(ControllerServer, ReferencePathTakesNoCounters) {
 }
 
 TEST(ControllerServer, RegistrationAndSubmitValidation) {
-  serve::ControllerServer server(sync_config());
+  serve::ControllerServer server;
   const auto student = make_student();
   const auto fallback = std::make_shared<MarkerController>(2, 1);
   server.register_controller("vdp", student, fallback,
@@ -415,7 +567,7 @@ TEST(ControllerServer, RegistrationAndSubmitValidation) {
 }
 
 TEST(ControllerServer, ControllerExceptionsTravelThroughTheFuture) {
-  serve::ControllerServer server(sync_config());
+  serve::ControllerServer server;
   server.register_controller("vdp", make_student(),
                              std::make_shared<ThrowingController>(),
                              serve::SafetyMonitor());  // everything falls back.
@@ -423,19 +575,19 @@ TEST(ControllerServer, ControllerExceptionsTravelThroughTheFuture) {
   EXPECT_THROW((void)future.get(), std::runtime_error);
 }
 
-// --- ControllerServer: asynchronous micro-batching -------------------------
+// --- ControllerServer: both paths against the reference -------------------
 
 /// The acceptance pin: N concurrent submissions across the full
 /// {1,2,4} dispatchers × {1,2,8} shards grid — crossed with batch-size /
-/// worker / linger settings — return exactly the actions the synchronous
-/// path produces, out-of-invariant states are verifiably answered by the
-/// fallback, and the admission counters are exact (everything accepted,
-/// nothing shed or rejected, per-shard tallies summing to the totals).
-TEST(ControllerServer, AsyncMatchesSynchronousForAnyConfiguration) {
+/// worker settings — return exactly act_reference's actions on the inline
+/// path and, with every inline slot held, on the queued path;
+/// out-of-invariant states are verifiably answered by the fallback, and the
+/// admission counters are exact (everything accepted, nothing shed or
+/// rejected, per-shard tallies summing to the totals).
+TEST(ControllerServer, BothPathsMatchTheReferenceForAnyConfiguration) {
   if (la::kernels::blas_enabled())
     GTEST_SKIP() << "COCKTAIL_BLAS waives the bitwise batching contract";
-  // Reference answers from a synchronous server.
-  serve::ControllerServer reference(sync_config());
+  serve::ControllerServer reference;
   const auto student = make_student();
   const auto monitor = serve::SafetyMonitor::inside_box(unit_box());
   reference.register_controller(
@@ -459,72 +611,76 @@ TEST(ControllerServer, AsyncMatchesSynchronousForAnyConfiguration) {
   struct BatchSweep {
     std::size_t max_batch;
     int num_workers;
-    long linger_us;
   };
-  const std::vector<BatchSweep> batch_sweeps = {
-      {1, 1, 0}, {4, 2, 200}, {64, 8, 200}, {16, 0, 50}};
+  const std::vector<BatchSweep> batch_sweeps = {{1, 1}, {4, 2}, {64, 8},
+                                                {16, 0}};
   const std::size_t dispatcher_sweep[] = {1, 2, 4};
   const std::size_t shard_sweep[] = {1, 2, 8};
   std::size_t combo = 0;
-  for (const std::size_t dispatchers : dispatcher_sweep) {
-    for (const std::size_t shards : shard_sweep) {
-      // Cycle the batch settings through the dispatcher x shard grid so the
-      // full cross stays cheap while every batch shape still meets every
-      // sharding shape over the sweep.
-      const BatchSweep& sweep = batch_sweeps[combo++ % batch_sweeps.size()];
-      serve::ServeConfig config;
-      config.max_batch = sweep.max_batch;
-      config.num_workers = sweep.num_workers;
-      config.max_wait = std::chrono::microseconds(sweep.linger_us);
-      config.rows_per_chunk = 8;
-      config.num_dispatchers = dispatchers;
-      config.num_shards = shards;
-      config.shard_capacity = 256;  // >> request count: nothing sheds.
-      serve::ControllerServer server(config);
-      server.register_controller(
-          "vdp", student, std::make_shared<MarkerController>(2, 1), monitor);
+  for (const bool queued : {false, true}) {
+    for (const std::size_t dispatchers : dispatcher_sweep) {
+      for (const std::size_t shards : shard_sweep) {
+        // Cycle the batch settings through the dispatcher x shard grid so
+        // the full cross stays cheap while every batch shape still meets
+        // every sharding shape over the sweep.
+        const BatchSweep& sweep = batch_sweeps[combo++ % batch_sweeps.size()];
+        serve::ServeConfig config;
+        config.max_batch = sweep.max_batch;
+        config.num_workers = sweep.num_workers;
+        config.num_dispatchers = dispatchers;
+        config.num_shards = shards;
+        config.shard_capacity = 256;  // >> request count: nothing sheds.
+        serve::ControllerServer server(config);
+        server.register_controller(
+            "vdp", student, std::make_shared<MarkerController>(2, 1), monitor);
+        std::unique_ptr<InlineWedge> wedge;
+        if (queued) wedge = std::make_unique<InlineWedge>(server);
 
-      // Four submitter threads interleave their requests arbitrarily.
-      std::vector<std::future<Vec>> futures(states.size());
-      std::vector<std::thread> submitters;
-      const std::size_t stripe = states.size() / 4;
-      for (std::size_t t = 0; t < 4; ++t) {
-        submitters.emplace_back([&, t] {
-          const std::size_t lo = t * stripe;
-          const std::size_t hi = (t == 3) ? states.size() : lo + stripe;
-          for (std::size_t i = lo; i < hi; ++i)
-            futures[i] = server.submit("vdp", states[i]);
-        });
+        // Four submitter threads interleave their requests arbitrarily.
+        std::vector<std::future<Vec>> futures(states.size());
+        std::vector<std::thread> submitters;
+        const std::size_t stripe = states.size() / 4;
+        for (std::size_t t = 0; t < 4; ++t) {
+          submitters.emplace_back([&, t] {
+            const std::size_t lo = t * stripe;
+            const std::size_t hi = (t == 3) ? states.size() : lo + stripe;
+            for (std::size_t i = lo; i < hi; ++i)
+              futures[i] = server.submit("vdp", states[i]);
+          });
+        }
+        for (auto& thread : submitters) thread.join();
+
+        for (std::size_t i = 0; i < states.size(); ++i) {
+          const Vec action = futures[i].get();
+          ASSERT_EQ(action.size(), expected[i].size());
+          for (std::size_t c = 0; c < action.size(); ++c)
+            ASSERT_EQ(action[c], expected[i][c])
+                << "state " << i << (queued ? ", queued" : ", inline")
+                << ", max_batch " << sweep.max_batch << ", "
+                << sweep.num_workers << " workers, " << dispatchers
+                << " dispatchers, " << shards << " shards";
+        }
+        if (wedge) wedge->release();
+        server.drain();
+
+        // Counters are exact on either path: every request took exactly
+        // one route, everything was admitted, and the per-shard admission
+        // tallies sum to the totals.
+        const auto counters = server.counters("vdp");
+        EXPECT_EQ(counters.fallback, expected_fallback);
+        EXPECT_EQ(counters.primary, states.size() - expected_fallback);
+        EXPECT_GE(counters.batches, 1u);
+        EXPECT_LE(counters.max_batch_rows, sweep.max_batch);
+        EXPECT_EQ(counters.accepted, states.size());
+        EXPECT_EQ(counters.shed, 0u);
+        EXPECT_EQ(counters.rejected, 0u);
+        EXPECT_EQ(counters.primary + counters.fallback, counters.accepted);
+        ASSERT_EQ(counters.shards.size(), shards);
+        std::uint64_t per_shard_accepted = 0;
+        for (const auto& shard : counters.shards)
+          per_shard_accepted += shard.accepted;
+        EXPECT_EQ(per_shard_accepted, counters.accepted);
       }
-      for (auto& thread : submitters) thread.join();
-
-      for (std::size_t i = 0; i < states.size(); ++i) {
-        const Vec action = futures[i].get();
-        ASSERT_EQ(action.size(), expected[i].size());
-        for (std::size_t c = 0; c < action.size(); ++c)
-          ASSERT_EQ(action[c], expected[i][c])
-              << "state " << i << ", max_batch " << sweep.max_batch << ", "
-              << sweep.num_workers << " workers, " << dispatchers
-              << " dispatchers, " << shards << " shards";
-      }
-
-      // Counters are exact for any batching/sharding: every request took
-      // exactly one of the two paths, everything was admitted, and the
-      // per-shard admission tallies sum to the totals.
-      const auto counters = server.counters("vdp");
-      EXPECT_EQ(counters.fallback, expected_fallback);
-      EXPECT_EQ(counters.primary, states.size() - expected_fallback);
-      EXPECT_GE(counters.batches, 1u);
-      EXPECT_LE(counters.max_batch_rows, sweep.max_batch);
-      EXPECT_EQ(counters.accepted, states.size());
-      EXPECT_EQ(counters.shed, 0u);
-      EXPECT_EQ(counters.rejected, 0u);
-      EXPECT_EQ(counters.primary + counters.fallback, counters.accepted);
-      ASSERT_EQ(counters.shards.size(), shards);
-      std::uint64_t per_shard_accepted = 0;
-      for (const auto& shard : counters.shards)
-        per_shard_accepted += shard.accepted;
-      EXPECT_EQ(per_shard_accepted, counters.accepted);
     }
   }
 }
@@ -532,15 +688,16 @@ TEST(ControllerServer, AsyncMatchesSynchronousForAnyConfiguration) {
 TEST(ControllerServer, DrainAnswersEverythingSubmitted) {
   serve::ServeConfig config;
   config.max_batch = 8;
-  config.max_wait = std::chrono::microseconds(100);
   serve::ControllerServer server(config);
   const auto student = make_student();
   server.register_controller("vdp", student,
                              std::make_shared<MarkerController>(2, 1),
                              serve::SafetyMonitor::trust_all());
+  InlineWedge wedge(server);
   std::vector<std::future<Vec>> futures;
   for (int k = 0; k < 40; ++k)
     futures.push_back(server.submit("vdp", {0.01 * k, -0.01 * k}));
+  wedge.release();
   server.drain();
   for (auto& future : futures)
     EXPECT_EQ(future.wait_for(std::chrono::seconds(0)),
@@ -549,7 +706,7 @@ TEST(ControllerServer, DrainAnswersEverythingSubmitted) {
 }
 
 TEST(ControllerServer, DrainWithNoTrafficReturnsImmediately) {
-  serve::ControllerServer server;  // async defaults.
+  serve::ControllerServer server;  // library defaults.
   server.register_controller("vdp", make_student(),
                              std::make_shared<MarkerController>(2, 1),
                              serve::SafetyMonitor::trust_all());
@@ -565,11 +722,11 @@ TEST(ControllerServer, AllFallbackSliceNeverBuildsAnEmptyBatch) {
   // never assembles an empty GEMM batch when a slice has no certified rows.
   serve::ServeConfig config;
   config.max_batch = 16;
-  config.max_wait = std::chrono::microseconds(100);
   serve::ControllerServer server(config);
   server.register_controller("vdp", make_student(),
                              std::make_shared<MarkerController>(2, 1),
                              serve::SafetyMonitor());
+  const InlineWedge wedge(server);  // every request takes the queued path.
   std::vector<std::future<Vec>> futures;
   for (int k = 0; k < 12; ++k)
     futures.push_back(server.submit("vdp", {0.1 * k, -0.1 * k}));
@@ -599,7 +756,7 @@ serve::RejectReason reject_reason(std::future<Vec> future) {
 // counters.  Programmer errors (unknown name, wrong dimension) still throw
 // std::invalid_argument synchronously, stopped or not.
 TEST(ControllerServer, StopDrainsPendingAndRejectsNewWork) {
-  serve::ControllerServer server;  // async defaults.
+  serve::ControllerServer server;  // library defaults.
   server.register_controller("vdp", make_student(),
                              std::make_shared<MarkerController>(2, 1),
                              serve::SafetyMonitor::trust_all());
@@ -624,15 +781,63 @@ TEST(ControllerServer, StopDrainsPendingAndRejectsNewWork) {
   server.stop();  // idempotent.
 }
 
-TEST(ControllerServer, SynchronousSubmitIsAlsoRejectedAfterStop) {
-  serve::ControllerServer server(sync_config());
-  server.register_controller("vdp", make_student(),
+// The shutdown contract covers inline work: a request running on its
+// caller's thread when stop() (or drain()) is called holds it until the
+// request is answered, while submissions after stop() are rejected at once.
+TEST(ControllerServer, StopAndDrainWaitForInlineExecutions) {
+  auto started = std::make_shared<std::atomic<int>>(0);
+  std::promise<void> release;
+  const std::shared_future<void> release_future =
+      release.get_future().share();
+  serve::ControllerServer server;
+  server.register_controller(
+      "vdp", make_student(),
+      std::make_shared<GateController>(started, release_future),
+      serve::SafetyMonitor());  // certifies nothing: everything gates.
+  server.register_controller("probe", make_student(),
                              std::make_shared<MarkerController>(2, 1),
-                             serve::SafetyMonitor::trust_all());
-  server.stop();
-  EXPECT_EQ(reject_reason(server.submit("vdp", {0.1, 0.2})),
-            serve::RejectReason::kShutdown);
-  EXPECT_EQ(server.counters("vdp").rejected, 1u);
+                             serve::SafetyMonitor());
+
+  std::future<Vec> running;
+  std::thread caller([&] { running = server.submit("vdp", {0.0, 0.0}); });
+  while (started->load() == 0) std::this_thread::yield();
+
+  std::atomic<bool> drained{false};
+  std::atomic<bool> stopped{false};
+  std::thread drainer([&] {
+    server.drain();
+    drained.store(true);
+  });
+  std::thread stopper([&] {
+    server.stop();
+    stopped.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_FALSE(drained.load());
+  EXPECT_FALSE(stopped.load());
+  // Once stop() has begun, new submissions are turned away at once.
+  for (bool rejected = false; !rejected; std::this_thread::yield()) {
+    try {
+      EXPECT_EQ(server.submit("probe", {0.1, 0.1}).get(),
+                Vec{MarkerController::kMark});
+    } catch (const serve::RejectedError& error) {
+      EXPECT_EQ(error.reason(), serve::RejectReason::kShutdown);
+      rejected = true;
+    }
+  }
+
+  release.set_value();
+  stopper.join();
+  drainer.join();
+  caller.join();
+  EXPECT_TRUE(stopped.load());
+  EXPECT_TRUE(drained.load());
+  EXPECT_EQ(running.get(), la::constant(1, GateController::kGateMark));
+  const auto counters = server.counters("vdp");
+  EXPECT_EQ(counters.accepted, 1u);
+  EXPECT_EQ(counters.fallback, 1u);
+  EXPECT_EQ(counters.rejected, 0u);
+  EXPECT_GE(server.counters("probe").rejected, 1u);
 }
 
 TEST(ControllerServer, RegistrationAfterStopThrows) {
@@ -650,35 +855,12 @@ TEST(ControllerServer, RegistrationAfterStopThrows) {
 
 // --- ControllerServer: admission control / load shedding --------------------
 
-/// Fallback that reports when act() starts and then blocks until released —
-/// lets the shed test wedge the dispatcher deterministically.
-class GateController final : public ctrl::Controller {
- public:
-  static constexpr double kGateMark = 7.5;
-
-  GateController(std::shared_ptr<std::atomic<int>> started,
-                 std::shared_future<void> release)
-      : started_(std::move(started)), release_(std::move(release)) {}
-
-  [[nodiscard]] Vec act(const Vec&) const override {
-    started_->fetch_add(1);
-    release_.wait();
-    return la::constant(1, kGateMark);
-  }
-  [[nodiscard]] std::size_t state_dim() const override { return 2; }
-  [[nodiscard]] std::size_t control_dim() const override { return 1; }
-  [[nodiscard]] std::string describe() const override { return "gate"; }
-
- private:
-  std::shared_ptr<std::atomic<int>> started_;
-  std::shared_future<void> release_;
-};
-
-// Exact load-shedding: wedge the single dispatcher inside a blocking
-// fallback, fill the one shard ring to its capacity, and verify that every
+// Exact load-shedding: hold every inline slot with caller threads inside a
+// blocking fallback, wedge the single dispatcher on the first queued
+// request, fill the one shard ring to its capacity, and verify that every
 // further submission sheds with RejectedError(kQueueFull) — with accepted /
-// shed counters exact and every accepted request still answered after the
-// dispatcher is released.
+// shed counters exact and every accepted request still answered once the
+// gate opens.
 TEST(ControllerServer, FullShardsShedWithExactCounters) {
   auto started = std::make_shared<std::atomic<int>>(0);
   std::promise<void> release;
@@ -687,7 +869,6 @@ TEST(ControllerServer, FullShardsShedWithExactCounters) {
 
   serve::ServeConfig config;
   config.max_batch = 1;  // the wedged slice holds exactly one request.
-  config.max_wait = std::chrono::microseconds(0);
   config.num_dispatchers = 1;
   config.num_shards = 1;
   config.shard_capacity = 2;
@@ -696,11 +877,21 @@ TEST(ControllerServer, FullShardsShedWithExactCounters) {
       "vdp", make_student(),
       std::make_shared<GateController>(started, release_future),
       serve::SafetyMonitor());  // certifies nothing: everything falls back.
+  const Vec gate_action = la::constant(1, GateController::kGateMark);
 
-  // The first request is popped by the dispatcher and blocks in act();
-  // waiting for started proves the ring is empty again.
+  // Every inline slot blocks in act() on its caller's thread...
+  const int slots = static_cast<int>(server.inline_bound());
+  std::vector<std::thread> callers;
+  for (int k = 0; k < slots; ++k)
+    callers.emplace_back([&] {
+      EXPECT_EQ(server.submit("vdp", {0.0, 0.0}).get(), gate_action);
+    });
+  while (started->load() < slots) std::this_thread::yield();
+
+  // ...so the next request queues; the dispatcher pops it and blocks too,
+  // and waiting for that proves the ring is empty again.
   auto wedged = server.submit("vdp", {0.0, 0.0});
-  while (started->load() == 0) std::this_thread::yield();
+  while (started->load() < slots + 1) std::this_thread::yield();
 
   // Fill the ring (capacity 2) while the dispatcher is wedged...
   auto queued_a = server.submit("vdp", {0.1, 0.1});
@@ -712,17 +903,18 @@ TEST(ControllerServer, FullShardsShedWithExactCounters) {
   EXPECT_EQ(reject_reason(std::move(shed_b)), serve::RejectReason::kQueueFull);
 
   release.set_value();
-  const Vec gate_action = la::constant(1, GateController::kGateMark);
+  for (auto& caller : callers) caller.join();
   EXPECT_EQ(wedged.get(), gate_action);
   EXPECT_EQ(queued_a.get(), gate_action);
   EXPECT_EQ(queued_b.get(), gate_action);
   server.drain();
 
   const auto counters = server.counters("vdp");
-  EXPECT_EQ(counters.accepted, 3u);
+  const auto accepted = static_cast<std::uint64_t>(slots) + 3;
+  EXPECT_EQ(counters.accepted, accepted);
   EXPECT_EQ(counters.shed, 2u);
   EXPECT_EQ(counters.rejected, 0u);
-  EXPECT_EQ(counters.fallback, 3u);
+  EXPECT_EQ(counters.fallback, accepted);
   EXPECT_EQ(counters.primary, 0u);
 }
 
@@ -821,7 +1013,6 @@ TEST(ServeMetrics, ServerPublishesLatencyRoutingAndAdmissionMetrics) {
 TEST(ControllerServer, ServesMultipleControllersFromOneQueue) {
   serve::ServeConfig config;
   config.max_batch = 64;
-  config.max_wait = std::chrono::microseconds(200);
   serve::ControllerServer server(config);
   const auto a = make_student(1);
   const auto b = make_student(2);
@@ -876,7 +1067,7 @@ TEST(ServeRegistry, RegistersThePipelineStudentWithExpertFallback) {
   artifacts.robust_student = student;
   artifacts.experts = {std::make_shared<MarkerController>(2, 1)};
 
-  serve::ControllerServer server(sync_config());
+  serve::ControllerServer server;
   serve::register_pipeline_student(server, "vdp", artifacts,
                                    serve::SafetyMonitor::inside_box(unit_box()));
   EXPECT_EQ(server.submit("vdp", {0.1, 0.1}).get(), student->act({0.1, 0.1}));

@@ -7,11 +7,13 @@
 // annotate or document:
 //   - many external submitters against one ThreadPool, mixed with
 //     concurrent parallel_for batches and size() reads;
-//   - many ControllerServer submitters against sharded MPMC queues and
-//     multiple dispatcher threads, mixed with concurrent counters() stats
-//     reads, drain() calls, registration under traffic, a stop() racing
-//     live submitters (the Dekker shutdown gate), and genuine load shedding
-//     under contention with exact accept/shed/reject accounting.
+//   - many ControllerServer submitters, more than the inline bound, so
+//     requests run both on their callers' threads and through sharded MPMC
+//     queues and multiple dispatcher threads, mixed with concurrent
+//     counters() stats reads, drain() calls, registration under traffic, a
+//     stop() racing live submitters (the Dekker shutdown gate), and genuine
+//     load shedding under contention with exact accept/shed/reject
+//     accounting.
 // Under -fsanitize=thread any access these paths make outside the
 // documented discipline is a CI failure even when the assertions pass.
 #include <gtest/gtest.h>
@@ -139,9 +141,7 @@ TEST(ControllerServerStress, SubmittersStatsReadersDrainAndShutdown) {
 
   serve::ServeConfig config;
   config.max_batch = 8;
-  config.max_wait = std::chrono::microseconds(50);
   config.num_workers = 2;
-  config.rows_per_chunk = 4;
   config.num_dispatchers = 2;
   config.num_shards = 2;  // rings far larger than total traffic: no sheds.
   serve::ControllerServer server(config);
@@ -239,7 +239,6 @@ TEST(ControllerServerStress, ShardedDispatchersShedExactlyUnderContention) {
 
   serve::ServeConfig config;
   config.max_batch = 4;
-  config.max_wait = std::chrono::microseconds(20);
   config.num_dispatchers = 2;
   config.num_shards = 4;
   config.shard_capacity = 8;  // tiny rings: floods genuinely shed.
@@ -289,10 +288,90 @@ TEST(ControllerServerStress, ShardedDispatchersShedExactlyUnderContention) {
   EXPECT_EQ(by_shard_shed, counters.shed);
 }
 
+// The shutdown contract under a race: twice as many submitters as inline
+// slots (so both paths run) and rings small enough to shed, while stop()
+// lands mid-traffic.  Every request whose submit() returned before stop()
+// began must be answered by the time stop() returns, no future is ever
+// stranded, and the admission accounting stays exact.
+TEST(ControllerServerStress, StopRacesInlineAndQueuedSubmitters) {
+  constexpr std::size_t kMaxPerSubmitter = 20000;
+  constexpr std::size_t kBeforeStop = 50;  // per submitter, at least.
+  constexpr std::size_t kAfterStop = 10;   // per submitter, at least.
+  serve::ServeConfig config;
+  config.max_batch = 4;
+  config.num_dispatchers = 2;
+  config.num_shards = 2;
+  config.shard_capacity = 4;
+  serve::ControllerServer server(config);
+  server.register_controller(
+      "race", make_student(31), std::make_shared<MarkController>(),
+      serve::SafetyMonitor::inside_box(sys::Box{{-1.0, -1.0}, {1.0, 1.0}}));
+  const std::size_t submitters_n = 2 * server.inline_bound();
+
+  // Each submitter owns its futures; returned[t] publishes how many of
+  // them exist, so the main thread may inspect that prefix.
+  std::vector<std::vector<std::future<Vec>>> futures(submitters_n);
+  std::vector<std::atomic<std::size_t>> returned(submitters_n);
+  for (auto& f : futures) f.resize(kMaxPerSubmitter);
+  std::atomic<bool> stopped{false};
+  std::vector<std::thread> submitters;
+  for (std::size_t t = 0; t < submitters_n; ++t) {
+    submitters.emplace_back([&, t] {
+      std::size_t after_stop = 0;
+      for (std::size_t k = 0; k < kMaxPerSubmitter; ++k) {
+        const double x = (k % 2 == 0) ? 0.25 : 3.0;
+        futures[t][k] =
+            server.submit("race", Vec{x, 0.01 * static_cast<double>(t)});
+        returned[t].store(k + 1, std::memory_order_release);
+        if (stopped.load() && ++after_stop == kAfterStop) break;
+      }
+    });
+  }
+
+  for (std::size_t t = 0; t < submitters_n; ++t)
+    while (returned[t].load() < kBeforeStop) std::this_thread::yield();
+  std::vector<std::size_t> before_stop(submitters_n);
+  for (std::size_t t = 0; t < submitters_n; ++t)
+    before_stop[t] = returned[t].load(std::memory_order_acquire);
+  server.stop();
+  stopped.store(true);
+  for (std::size_t t = 0; t < submitters_n; ++t)
+    for (std::size_t k = 0; k < before_stop[t]; ++k)
+      ASSERT_EQ(futures[t][k].wait_for(std::chrono::seconds(0)),
+                std::future_status::ready)
+          << "submitter " << t << " request " << k;
+  for (auto& thread : submitters) thread.join();
+
+  long submitted = 0, answered = 0, shed = 0, rejected = 0;
+  for (std::size_t t = 0; t < submitters_n; ++t) {
+    const std::size_t n = returned[t].load();
+    submitted += static_cast<long>(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      ASSERT_EQ(futures[t][k].wait_for(std::chrono::seconds(30)),
+                std::future_status::ready);
+      try {
+        const Vec action = futures[t][k].get();
+        ++answered;
+        if (k % 2 != 0) {
+          ASSERT_EQ(action[0], MarkController::kMark);
+        }
+      } catch (const serve::RejectedError& error) {
+        (error.reason() == serve::RejectReason::kQueueFull ? shed : rejected)++;
+      }
+    }
+  }
+  EXPECT_GT(rejected, 0);  // stop() landed while traffic was live.
+  const auto counters = server.counters("race");
+  EXPECT_EQ(answered + shed + rejected, submitted);
+  EXPECT_EQ(static_cast<long>(counters.accepted), answered);
+  EXPECT_EQ(static_cast<long>(counters.shed), shed);
+  EXPECT_EQ(static_cast<long>(counters.rejected), rejected);
+  EXPECT_EQ(counters.primary + counters.fallback, counters.accepted);
+}
+
 TEST(ControllerServerStress, RegistrationUnderLiveTraffic) {
   serve::ServeConfig config;
   config.max_batch = 4;
-  config.max_wait = std::chrono::microseconds(20);
   config.num_dispatchers = 2;
   config.num_shards = 2;
   serve::ControllerServer server(config);
