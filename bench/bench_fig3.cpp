@@ -93,11 +93,12 @@ int main() {
   // The paper's closing validation: 1500 simulations from inside XI(k*),
   // all must remain safe.
   if (results[0].completed && results[0].volume_fraction > 0.0) {
+    const verify::InvariantIndex xi(results[0], domain);
     util::Rng rng(4242);
     int simulated = 0, safe = 0;
     while (simulated < 1500) {
       const la::Vec s0 = domain.sample(rng);
-      if (!results[0].contains(domain, s0)) continue;
+      if (!xi.covers(s0, 0.0)) continue;
       ++simulated;
       core::RolloutConfig config;
       config.horizon = 300;

@@ -17,7 +17,6 @@
 // trajectory; a shrinking speedup is a regression with a number attached.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -330,15 +329,13 @@ void BM_ReachSweep(benchmark::State& state) {
 BENCHMARK(BM_ReachSweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// --- certified-lookup crossover (tracked) ---------------------------------
+// --- certified lookup (tracked) --------------------------------------------
 //
-// The serve-path margin check: "is every invariant cell overlapped by the
-// ±margin box a member?"  Flat is the pre-PR-9 odometer over the window
-// volume (kept verbatim below); Sfc is SafetyMonitor's CellSetTree descent.
-// Arg = grid side n — on coarse grids the window holds a handful of cells
-// and the flat walk wins on constant factors; as n grows the window volume
-// grows quadratically while the tree cost tracks the window boundary, and
-// the crossover lands in BENCH_micro.json as certified_lookup_speedup_<n>.
+// The serve-path certificate check: SafetyMonitor::certified over an
+// invariant set, i.e. InvariantIndex::covers — "is every cell meeting the
+// ±margin box a member?" — answered from a summed-area table in 2^d loads
+// whatever the window's size.  Arg = grid side n at margin 0.15; Arg 0 is
+// the margin-0 (point membership) row on the n = 64 grid.
 
 /// Disk-shaped member set on an n x n grid over [-1,1]^2: member iff the
 /// cell center lies within radius 0.8.
@@ -360,8 +357,7 @@ verify::InvariantResult disk_invariant(int n) {
 }
 
 /// Deterministic probe states on a radius-0.5 ring: deep enough inside the
-/// disk that the ±margin window is all-member, i.e. the walk never exits
-/// early — the worst case both paths must pay in full.
+/// disk that the ±margin window is all-member — every probe is certified.
 std::vector<la::Vec> lookup_probes() {
   std::vector<la::Vec> probes;
   for (int i = 0; i < 64; ++i) {
@@ -371,61 +367,11 @@ std::vector<la::Vec> lookup_probes() {
   return probes;
 }
 
-constexpr double kLookupMargin = 0.15;
-
-/// The pre-PR-9 SafetyMonitor margin path, kept verbatim as the baseline
-/// the CellSetTree descent is measured against: window quantization plus
-/// the odometer over every overlapped cell.
-bool flat_margin_certified_baseline(const verify::InvariantResult& inv,
-                                    const cocktail::sys::Box& domain,
-                                    double margin, const la::Vec& state) {
-  std::vector<int> lo_k(state.size()), hi_k(state.size());
-  for (std::size_t d = 0; d < state.size(); ++d) {
-    const double lo = state[d] - margin;
-    const double hi = state[d] + margin;
-    if (lo < domain.lo[d] || hi > domain.hi[d]) return false;
-    const double w = (domain.hi[d] - domain.lo[d]) /
-                     static_cast<double>(inv.grid[d]);
-    lo_k[d] = std::clamp(static_cast<int>(std::floor((lo - domain.lo[d]) / w)),
-                         0, inv.grid[d] - 1);
-    hi_k[d] = std::clamp(static_cast<int>(std::floor((hi - domain.lo[d]) / w)),
-                         0, inv.grid[d] - 1);
-  }
-  std::vector<int> k = lo_k;
-  for (;;) {
-    std::size_t index = 0, stride = 1;
-    for (std::size_t d = 0; d < k.size(); ++d) {
-      index += static_cast<std::size_t>(k[d]) * stride;
-      stride *= static_cast<std::size_t>(inv.grid[d]);
-    }
-    if (inv.member[index] == 0) return false;
-    std::size_t d = 0;
-    while (d < k.size() && ++k[d] > hi_k[d]) {
-      k[d] = lo_k[d];
-      ++d;
-    }
-    if (d == k.size()) break;
-  }
-  return true;
-}
-
-void BM_CertifiedLookupFlat(benchmark::State& state) {
-  const auto inv = disk_invariant(static_cast<int>(state.range(0)));
-  const sys::Box domain = sys::Box::symmetric(2, 1.0);
-  const auto probes = lookup_probes();
-  for (auto _ : state)
-    for (const la::Vec& probe : probes)
-      benchmark::DoNotOptimize(
-          flat_margin_certified_baseline(inv, domain, kLookupMargin, probe));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(probes.size()));
-}
-BENCHMARK(BM_CertifiedLookupFlat)->Arg(16)->Arg(64)->Arg(256);
-
-void BM_CertifiedLookupSfc(benchmark::State& state) {
+void BM_CertifiedLookup(benchmark::State& state) {
+  const bool point = state.range(0) == 0;
   const auto monitor = serve::SafetyMonitor::inside_invariant(
-      disk_invariant(static_cast<int>(state.range(0))),
-      sys::Box::symmetric(2, 1.0), kLookupMargin);
+      disk_invariant(point ? 64 : static_cast<int>(state.range(0))),
+      sys::Box::symmetric(2, 1.0), point ? 0.0 : 0.15);
   const auto probes = lookup_probes();
   for (auto _ : state)
     for (const la::Vec& probe : probes)
@@ -433,7 +379,7 @@ void BM_CertifiedLookupSfc(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(probes.size()));
 }
-BENCHMARK(BM_CertifiedLookupSfc)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_CertifiedLookup)->Arg(0)->Arg(16)->Arg(64)->Arg(256);
 
 // The single-box serialization hole (tracked): one giant initial box whose
 // ~216 sub-box enclosures are the whole first wave.  Arg 0 = fan-out
@@ -648,18 +594,6 @@ void write_json(const std::vector<TrajectoryRow>& rows, bool smoke,
     if (!first) out << ",";
     first = false;
     out << "\n    \"gemm_speedup_" << n << "\": " << naive / blocked;
-  }
-  // Certificate-lookup crossover: SFC-tree speedup over the flat odometer
-  // per grid side (values < 1 on coarse grids, > 1 once the window volume
-  // dominates — the crossover itself is the tracked number).
-  for (const int n : {16, 64, 256}) {
-    const std::string arg = "/" + std::to_string(n);
-    const double flat = find_time(rows, "BM_CertifiedLookupFlat" + arg);
-    const double tree = find_time(rows, "BM_CertifiedLookupSfc" + arg);
-    if (flat <= 0.0 || tree <= 0.0) continue;
-    if (!first) out << ",";
-    first = false;
-    out << "\n    \"certified_lookup_speedup_" << n << "\": " << flat / tree;
   }
   // Single-giant-box frontier: fan-out speedup over the serialized
   // pre-fan-out schedule (Arg 0) at 8 workers.

@@ -79,11 +79,12 @@ int main() {
   // The paper's closing check: simulate many initial states inside XI and
   // confirm every trajectory stays safe.
   const sys::Box domain = system->safe_region();
+  const verify::InvariantIndex xi(result, domain);
   util::Rng rng(99);
   int simulated = 0, safe = 0;
   while (simulated < 1500) {
     const la::Vec s0 = domain.sample(rng);
-    if (!result.contains(domain, s0)) continue;
+    if (!xi.covers(s0, 0.0)) continue;
     ++simulated;
     core::RolloutConfig rollout_config;
     rollout_config.horizon = 300;

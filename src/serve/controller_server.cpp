@@ -38,8 +38,6 @@ ControllerServer::ControllerServer(ServeConfig config,
   if (config_.shard_capacity == 0) config_.shard_capacity = 1;
   config_.num_dispatchers =
       std::clamp<std::size_t>(config_.num_dispatchers, 1, config_.num_shards);
-  if (config_.idle_wait.count() <= 0)
-    config_.idle_wait = std::chrono::microseconds(100);
 }
 
 ControllerServer::~ControllerServer() { stop(); }
@@ -323,21 +321,14 @@ void ControllerServer::dispatch_loop(Entry& entry,
     }
   };
 
-  // Read order matters (shutdown-handshake audit in the header): stopping_
-  // first, then pending_ == 0.
-  const auto quiesced = [&] {
-    return stopping_.load() && pending_.load() == 0;
-  };
-
   std::vector<Request> slice;
   slice.reserve(config_.max_batch);
   for (;;) {
     slice.clear();
     drain_owned(slice);
     if (slice.empty()) {
-      if (quiesced()) return;
-      static_cast<void>(bell.wait_for(
-          config_.idle_wait, [&] { return owned_nonempty() || quiesced(); }));
+      if (retiring_.load()) return;
+      bell.wait([&] { return owned_nonempty() || retiring_.load(); });
       continue;
     }
     execute_slice(entry, slice);
@@ -354,11 +345,8 @@ void ControllerServer::release(std::uint64_t answered) {
 }
 
 void ControllerServer::drain() {
-  // Timed waits only (Doorbell contract): a wakeup racing the last
-  // decrement costs at most one poll period, never a hang.
-  while (!drain_bell_.wait_for(std::chrono::milliseconds(1),
-                               [&] { return pending_.load() == 0; })) {
-  }
+  // release() rings after the decrement that reaches zero.
+  drain_bell_.wait([&] { return pending_.load() == 0; });
 }
 
 void ControllerServer::stop() {
@@ -370,6 +358,7 @@ void ControllerServer::stop() {
   }
   drain();
   util::MutexLock lock(registry_mutex_);
+  retiring_.store(true);
   for (auto& [name, entry] : entries_) {
     for (auto& dispatcher : entry->dispatchers) dispatcher->bell.ring();
   }

@@ -76,9 +76,6 @@ struct ServeConfig {
   /// num_shards * shard_capacity is the admission bound of the queued
   /// path: beyond it, submissions are shed with RejectedError(kQueueFull).
   std::size_t shard_capacity = 1024;
-  /// Idle-dispatcher doorbell timeout: the backstop poll period bounding
-  /// the cost of any theoretically missed wakeup (util::Doorbell).
-  std::chrono::microseconds idle_wait{100};
 };
 
 /// Why an admitted-or-not request's future carries an exception instead of
@@ -215,21 +212,26 @@ class ControllerServer {
   //               its future is satisfied (by the caller inline, by the
   //               dispatcher after a batch) or its shed is settled.
   //   stopping_   stop() store-true (seq_cst), then waits for
-  //               pending_ == 0 (drain()), then rings and joins the
-  //               dispatchers.
+  //               pending_ == 0 (drain()), then sets retiring_ and rings
+  //               and joins the dispatchers.
   //
   //   In the seq_cst total order a submitter's increment either precedes
   //   the store — then stop() reads it and waits for that request — or
   //   follows it, and the submitter then reads stopping_ and rejects.  So
-  //   once stop() (or a dispatcher) reads stopping_ and then pending_ == 0,
-  //   no request is running, queued or about to be, and none ever will be:
-  //   a dispatcher exits on exactly that read, and no admitted request is
-  //   ever stranded.  (Seq_cst on both sides is what closes the store/load
-  //   race the classic Dekker pattern needs; acquire/release alone would
-  //   not.)  drain() waits on pending_ == 0 via drain_bell_.
+  //   once stop() reads stopping_ and then pending_ == 0, no request is
+  //   running, queued or about to be, and none ever will be: no admitted
+  //   request is ever stranded.  (Seq_cst on both sides is what closes the
+  //   store/load race the classic Dekker pattern needs; acquire/release
+  //   alone would not.)  drain() waits on pending_ == 0 via drain_bell_.
+  //   After that read pending_ can still rise and fall (rejected submits
+  //   back out their increment), so dispatchers do not exit on it: they
+  //   exit on retiring_, which stop() sets only once drain() has returned.
   //
-  // Doorbells: util::Doorbell documents its own contract; all dispatcher
-  // waits are timed by config_.idle_wait, so no lost wakeup can hang.
+  // Doorbells: util::Doorbell documents its own contract.  Every store a
+  // sleeping waiter's predicate reads is followed by a ring: a push by its
+  // shard's dispatcher bell, retiring_ by stop()'s ring of every
+  // dispatcher, pending_ reaching zero by release()'s ring of drain_bell_.
+  // So waits are untimed, and an idle dispatcher costs no CPU.
   // -------------------------------------------------------------------------
 
   struct Entry;
@@ -309,6 +311,7 @@ class ControllerServer {
   // Shutdown/drain gate — see the memory-order audit above.
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> pending_{0};
+  std::atomic<bool> retiring_{false};  ///< dispatchers may exit.
   util::Doorbell drain_bell_;
 };
 

@@ -30,9 +30,10 @@
 //   empty()/approx_size  Relaxed ticket reads: a monitoring snapshot that
 //                   may be stale under concurrency.  It is exact only when
 //                   the caller has externally quiesced one side.  The
-//                   dispatcher reads it only as a wake-up hint; its exit
-//                   rests on ControllerServer's in-flight count (see the
-//                   shutdown-handshake audit in controller_server.h).
+//                   dispatcher reads it only as its wake-up predicate,
+//                   behind util::Doorbell's fence; its exit rests on
+//                   ControllerServer's shutdown handshake (see the audit
+//                   in controller_server.h).
 //
 // No determinism burden: which requests share a queue (and hence a GEMM
 // micro-batch) is scheduling-dependent by design, and the serving contract

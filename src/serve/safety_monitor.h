@@ -14,20 +14,25 @@
 // ±margin box lies in the certified region, and bound the action drift via
 // the controller's certified Lipschitz constant (action_deviation_bound).
 //
+// The invariant mode holds nothing but a verify::InvariantIndex, the one
+// membership check over the verifier's cells: every cell whose closed box
+// meets the ±margin box must be a member, located with the same
+// slice_face faces the verifier built the cells from, so the verdict is
+// exact at every float boundary (a state on a face needs both cells).
+//
 // Thread-safety: a SafetyMonitor is immutable after construction (the
-// factories return it by value; certified() is const over const state), so
-// ControllerServer batch workers call certified() concurrently with no lock
-// — which is why registration hands the monitor to the registry by value
-// rather than sharing a mutable reference with the caller.
+// factories return it by value; certified() is const over const state, and
+// copies share the immutable index), so callers and dispatcher batch
+// workers call certified() concurrently with no lock — which is why
+// registration hands the monitor to the registry by value rather than
+// sharing a mutable reference with the caller.
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "control/controller.h"
 #include "la/vec.h"
 #include "sys/system.h"
-#include "verify/box_tree.h"
 #include "verify/invariant.h"
 
 namespace cocktail::serve {
@@ -48,12 +53,15 @@ class SafetyMonitor {
                                                 double margin = 0.0);
 
   /// Certifies states whose surrounding ±margin box lies entirely in the
-  /// computed invariant set: every grid cell the box overlaps must be a
-  /// member (not just the corners — a wide margin can straddle interior
-  /// cells).  Requires a completed result; throws std::invalid_argument
-  /// otherwise.
+  /// computed invariant set: every grid cell whose closed box meets the
+  /// ±margin box must be a member (not just the corners — a wide margin
+  /// can straddle interior cells), so a state on a cell face needs both
+  /// cells (verify::InvariantIndex::covers).  Throws std::invalid_argument
+  /// on a negative margin and wherever the InvariantIndex constructor
+  /// does, an incomplete result included.
   [[nodiscard]] static SafetyMonitor inside_invariant(
-      verify::InvariantResult result, sys::Box domain, double margin = 0.0);
+      const verify::InvariantResult& result, sys::Box domain,
+      double margin = 0.0);
 
   /// True when serving `state` is covered by the certificate.  A state of
   /// the wrong dimension is never certified, and neither is a state with
@@ -69,23 +77,14 @@ class SafetyMonitor {
       const ctrl::Controller& controller, double epsilon_inf);
 
  private:
-  /// Reference window walk over the flattened member array: the odometer
-  /// the SFC tree replaced, kept as the fallback for grids the Morton key
-  /// cannot pack (dim > kMaxSfcDim, or > 63 key bits).
-  [[nodiscard]] bool window_all_members_flat(const std::vector<int>& lo_k,
-                                             const std::vector<int>& hi_k) const;
-
   enum class Mode { kNone, kAll, kBox, kInvariant };
 
   Mode mode_ = Mode::kNone;
-  sys::Box box_;  ///< kBox: the certified box; kInvariant: the grid domain.
+  sys::Box box_;  ///< kBox only: the certified box.
   double margin_ = 0.0;
-  std::shared_ptr<const verify::InvariantResult> invariant_;
-  /// SFC-keyed index over the invariant member set (kInvariant only; null
-  /// when the grid is unsupported).  Margin window checks descend the tree
-  /// — O(window boundary) — instead of the odometer's O(window volume),
-  /// with bitwise-identical verdicts.
-  std::shared_ptr<const verify::CellSetTree> member_tree_;
+  /// kInvariant only: the member index, built once at registration and
+  /// shared by copies of the monitor.
+  std::shared_ptr<const verify::InvariantIndex> invariant_;
 };
 
 }  // namespace cocktail::serve

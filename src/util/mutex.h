@@ -135,22 +135,24 @@ class CondVar {
 /// The sharded serving dispatchers pop from lock-free MPMC shards, so there
 /// is no queue mutex whose condition variable producers could signal.
 /// Doorbell fills that gap: a consumer that finds its shards empty sleeps in
-/// `wait_for`, and a producer `ring()`s after publishing work.
+/// `wait`, and a producer `ring()`s after publishing work.
 ///
 /// Memory-order contract (documented here per the PR 7 policy):
 ///
-///   sleepers_ is seq_cst on both sides.  The producer publishes its work
-///   (itself a release/acquire edge in the MPMC queue), then reads
-///   sleepers_; the consumer increments sleepers_ *before* re-checking the
-///   predicate and sleeping.  With both accesses seq_cst, at least one of
-///   the two races resolves safely: either the producer sees sleepers_ > 0
-///   and notifies under the mutex, or the consumer's predicate re-check
-///   sees the new work.  The mutex around notify/wait closes the classic
-///   lost-wakeup window between the predicate check and the sleep.
+///   The producer publishes its work (any atomic store or RMW, of any
+///   order), then ring() issues a seq_cst fence and loads sleepers_.  The
+///   consumer increments sleepers_, issues a seq_cst fence, then evaluates
+///   the predicate (which may read its atomics relaxed).  That is the
+///   store-buffering pattern, and the two fences are what close it: in the
+///   single total order of seq_cst fences one comes first, so either the
+///   producer's load sees sleepers_ > 0 and notifies under the mutex, or
+///   the consumer's predicate sees the new work.  The mutex around notify
+///   and wait closes the classic lost-wakeup window between the predicate
+///   check and the sleep.
 ///
-/// Even so, all waits are *timed*: a wakeup missed through any path not
-/// covered above costs one `timeout` period, never a hang.  ring() is
-/// wait-free for the producer when nobody sleeps (one atomic load).
+/// So wait() needs no timeout: a consumer sleeps until a ring, with no
+/// periodic polling.  ring() is wait-free for the producer when nobody
+/// sleeps (a fence and one atomic load).
 class Doorbell {
  public:
   Doorbell() = default;
@@ -160,6 +162,7 @@ class Doorbell {
   /// Producer side: call after the new work is visible.  Cheap when no
   /// consumer is sleeping.
   void ring() {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     if (sleepers_.load() == 0) return;
     // Taking the mutex orders this notify after a racing consumer's
     // predicate-check-then-wait, so the notify cannot fall in the gap.
@@ -167,23 +170,22 @@ class Doorbell {
     cv_.notify_all();
   }
 
-  /// Consumer side: blocks until `pred()` holds, a ring arrives and
-  /// `pred()` holds, or `timeout` elapses.  Returns the final `pred()`.
-  /// `pred` must read only state safe to read under this doorbell's mutex
-  /// (atomics / lock-free structures).
-  template <class Rep, class Period, class Predicate>
-  [[nodiscard]] bool wait_for(const std::chrono::duration<Rep, Period>& timeout,
-                              Predicate pred) {
+  /// Consumer side: blocks until `pred()` holds, checking it again after
+  /// every ring.  `pred` must read only state safe to read under this
+  /// doorbell's mutex (atomics / lock-free structures), and every producer
+  /// that can make it true must ring() afterwards.
+  template <class Predicate>
+  void wait(Predicate pred) {
     sleepers_.fetch_add(1);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     MutexLock lock(mutex_);
-    const bool satisfied = cv_.wait_for(lock, timeout, pred);
+    cv_.wait(lock, pred);
     lock.Unlock();
     sleepers_.fetch_sub(1);
-    return satisfied;
   }
 
  private:
-  // Count of consumers inside wait_for; seq_cst (see the contract above).
+  // Count of consumers inside wait (see the contract above).
   std::atomic<std::uint32_t> sleepers_{0};
   Mutex mutex_;
   CondVar cv_;

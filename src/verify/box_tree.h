@@ -1,35 +1,27 @@
-// Linearized spatial trees over SFC keys (ROADMAP: "Spatial indexing for
-// certificates and reachability"; keys in verify/sfc.h).
+// Morton-sorted bounding-volume hierarchy over interval boxes (the reach
+// frontier; keys in verify/sfc.h), after the cstone recipe: sort by Morton
+// key, build bottom-up in fixed key order, answer queries by pruned
+// descent.
 //
-// Two structures share the cstone-style recipe — sort by Morton key, build
-// bottom-up in fixed key order, answer queries by pruned descent:
+// BoxTree leaves hold runs of boxes sorted by the SFC key of their midpoint
+// (ties broken by input index — the build is a pure function of the input
+// sequence); internal nodes carry exact min/max hulls.  Hulls prune, but
+// every accepting answer re-checks the exact stored endpoints, so
+// quantization never decides membership.  (Invariant member sets are not
+// indexed here: serving asks a window-count question that
+// verify::InvariantIndex answers with a summed-area table.)
 //
-//  * CellSetTree: a sparse 2^d-tree over a *set of grid cells* (the member
-//    set of a verify::InvariantResult).  Leaves are the sorted Morton keys
-//    of the member cells; each level merges 2^d siblings, collapsing
-//    all-full groups into a single kFull mark.  The window query
-//    all_members() — "is every cell of [lo_k, hi_k] a member?" — descends
-//    only nodes intersecting the window, so the serve-path margin check is
-//    O(window boundary) instead of the odometer's O(window volume).
-//
-//  * BoxTree: a Morton-sorted bounding-volume hierarchy over interval
-//    boxes (the reach frontier).  Leaves hold runs of boxes sorted by the
-//    SFC key of their midpoint (ties broken by input index — the build is
-//    a pure function of the input sequence); internal nodes carry exact
-//    min/max hulls.  Hulls prune, but every accepting answer re-checks the
-//    exact stored endpoints, so quantization never decides membership.
-//
-// Soundness: non-finite/invalid box components *taint* their BoxTree
-// subtree — tainted hulls never short-circuit an accepting answer, and the
-// per-box predicates fail closed on NaN (box_inside_region mirrors the
-// PR 8 SafetyMonitor::certified fix).  NaN-safe hull folding skips invalid
+// Soundness: non-finite/invalid box components *taint* their subtree —
+// tainted hulls never short-circuit an accepting answer, and the per-box
+// predicates fail closed on NaN (box_inside_region mirrors the
+// SafetyMonitor::certified fix).  NaN-safe hull folding skips invalid
 // components so one corrupted box cannot poison pruning for valid
 // siblings.
 //
-// Determinism: both builds are serial, bottom-up, in sorted key order —
-// bitwise-identical structures for any worker count, so tree-backed
-// verdicts inherit the repo's worker-invariance contract.  Both trees are
-// immutable after build(); concurrent const queries need no lock.
+// Determinism: the build is serial, bottom-up, in sorted key order —
+// bitwise-identical trees for any worker count, so tree-backed verdicts
+// inherit the repo's worker-invariance contract.  The tree is immutable
+// after build(); concurrent const queries need no lock.
 #pragma once
 
 #include <cstddef>
@@ -48,55 +40,6 @@ namespace cocktail::verify {
 /// dimension (unbounded region dimensions always pass).  The one predicate
 /// behind ReachabilityAnalyzer's safe-region sweep, per-box and tree-wide.
 [[nodiscard]] bool box_inside_region(const IBox& box, const sys::Box& region);
-
-/// Sparse linearized 2^d-tree over a member-cell set (grid dims need not
-/// be powers of two; the tree covers the enclosing 2^levels super-grid and
-/// absent cells are non-members).
-class CellSetTree {
- public:
-  /// Empty tree: no cell is a member (all_members fails closed).
-  CellSetTree() = default;
-
-  /// True when `grid` packs into a 64-bit Morton key (dim in
-  /// [1, kMaxSfcDim], positive cell counts, dim * levels <= 63 bits).
-  [[nodiscard]] static bool supports(const std::vector<int>& grid);
-
-  /// Builds the tree from a flattened member array (dim 0 fastest, the
-  /// InvariantResult layout).  Throws std::invalid_argument when
-  /// !supports(grid) or member.size() != prod(grid).
-  [[nodiscard]] static CellSetTree build(const std::vector<int>& grid,
-                                         const std::vector<char>& member);
-
-  /// True iff *every* cell of the window [lo_k, hi_k] (inclusive, per
-  /// dimension) is a member.  An empty window (lo > hi anywhere) holds no
-  /// cells and is vacuously covered — that takes precedence; otherwise a
-  /// dimension mismatch or a window escaping the grid fails closed.
-  /// Bitwise-identical verdicts to the flat odometer walk over the same
-  /// member array.
-  [[nodiscard]] bool all_members(const std::vector<int>& lo_k,
-                                 const std::vector<int>& hi_k) const;
-
-  [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
-  [[nodiscard]] int levels() const noexcept { return levels_; }
-  [[nodiscard]] std::size_t member_count() const noexcept { return members_; }
-  /// Mixed (explicitly stored) nodes — the tree's memory footprint.
-  [[nodiscard]] std::size_t node_count() const noexcept {
-    return dim_ == 0 ? 0 : children_.size() >> dim_;
-  }
-
- private:
-  static constexpr std::int32_t kEmptyChild = -1;  ///< no member below.
-  static constexpr std::int32_t kFullChild = -2;   ///< all members below.
-
-  std::size_t dim_ = 0;
-  int levels_ = 0;
-  std::vector<int> grid_;
-  std::size_t members_ = 0;
-  std::int32_t root_ = kEmptyChild;
-  /// Node i's children occupy children_[i << dim_ .. (i+1) << dim_): a
-  /// node index, kEmptyChild, or kFullChild.
-  std::vector<std::int32_t> children_;
-};
 
 /// Morton-sorted bounding-volume hierarchy over interval boxes.
 class BoxTree {

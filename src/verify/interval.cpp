@@ -169,11 +169,47 @@ std::pair<IBox, IBox> box_bisect(const IBox& box) {
   return {std::move(left), std::move(right)};
 }
 
-double slice_face(double lo, double hi, std::size_t k, std::size_t parts) {
+namespace {
+
+/// The one expression every grid face comes from; `w` is the slice width
+/// (hi - lo) / parts.
+double face_of(double lo, double hi, double w, std::size_t k,
+               std::size_t parts) {
   if (k == 0) return lo;
   if (k >= parts) return hi;
-  const double w = (hi - lo) / static_cast<double>(parts);
   return lo + static_cast<double>(k) * w;
+}
+
+}  // namespace
+
+double slice_face(double lo, double hi, std::size_t k, std::size_t parts) {
+  return face_of(lo, hi, (hi - lo) / static_cast<double>(parts), k, parts);
+}
+
+SliceRange slices_meeting(double lo, double hi, std::size_t parts, double a,
+                          double b) {
+  // Accepting direction: a NaN anywhere fails a clause and meets nothing.
+  if (parts == 0 || !(a <= b && a <= hi && lo <= b)) return {};
+  const double w = (hi - lo) / static_cast<double>(parts);
+  const auto face = [&](std::size_t k) { return face_of(lo, hi, w, k, parts); };
+  const double per_width = static_cast<double>(parts) / (hi - lo);
+  const auto top = static_cast<double>(parts - 1);
+  // The estimate only seeds the search: the loops below settle the answer
+  // against the exact faces, whatever the product rounded to.  Truncation
+  // is the floor here, since negative (and NaN) products seed slice 0.
+  const auto estimate = [&](double x) -> std::size_t {
+    const double k = (x - lo) * per_width;
+    return k >= 0.0 ? static_cast<std::size_t>(std::min(k, top)) : 0;
+  };
+  // first: the lowest slice whose top face reaches a.
+  std::size_t first = estimate(a);
+  while (first > 0 && face(first) >= a) --first;
+  while (first + 1 < parts && face(first + 1) < a) ++first;
+  // last: the highest slice whose bottom face is at or below b.
+  std::size_t last = estimate(b);
+  while (last + 1 < parts && face(last + 1) <= b) ++last;
+  while (last > 0 && face(last) > b) --last;
+  return {first, last};
 }
 
 std::vector<IBox> box_subdivide(const IBox& box,

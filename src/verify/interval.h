@@ -107,6 +107,24 @@ class Interval {
 [[nodiscard]] double slice_face(double lo, double hi, std::size_t k,
                                 std::size_t parts);
 
+/// Inclusive index range of slices; empty when first > last.
+struct SliceRange {
+  std::size_t first = 1;
+  std::size_t last = 0;
+  [[nodiscard]] bool empty() const noexcept { return first > last; }
+};
+
+/// The slices of `parts` uniform slices of [lo, hi] (slice k is the closed
+/// [slice_face(k), slice_face(k + 1)]) whose closed interval meets [a, b].
+/// A point on an interior face meets both slices sharing it.  This is the
+/// one point/box-to-cell index of every grid consumer: a quotient estimate
+/// corrected against slice_face, so the answer agrees with the faces the
+/// cells are built from at every float boundary.  Empty when [a, b] misses
+/// [lo, hi], when parts == 0, or when a, b is NaN or a > b.
+[[nodiscard]] SliceRange slices_meeting(double lo, double hi,
+                                        std::size_t parts, double a,
+                                        double b);
+
 /// Enclosures of sin/cos found by ADL from the templated dynamics.
 [[nodiscard]] Interval sin(const Interval& x);
 [[nodiscard]] Interval cos(const Interval& x);

@@ -94,14 +94,12 @@ std::vector<IBox> pave_boxes(const std::vector<IBox>& boxes,
     return flat;
   };
   for (const IBox& box : boxes) {
+    // Every cell whose closed box meets the box: their union covers it.
     for (std::size_t d = 0; d < dim; ++d) {
-      const double w = hull[d].width() / static_cast<double>(cells[d]);
-      const double offset_lo = w > 0.0 ? (box[d].lo() - hull[d].lo()) / w : 0.0;
-      const double offset_hi = w > 0.0 ? (box[d].hi() - hull[d].lo()) / w : 0.0;
-      lo_idx[d] = static_cast<std::size_t>(std::clamp(
-          std::floor(offset_lo), 0.0, static_cast<double>(cells[d] - 1)));
-      hi_idx[d] = static_cast<std::size_t>(std::clamp(
-          std::floor(offset_hi), 0.0, static_cast<double>(cells[d] - 1)));
+      const SliceRange range = slices_meeting(
+          hull[d].lo(), hull[d].hi(), cells[d], box[d].lo(), box[d].hi());
+      lo_idx[d] = range.first;
+      hi_idx[d] = range.last;
     }
     idx = lo_idx;
     for (;;) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace cocktail::verify {
 
@@ -16,20 +15,6 @@ int sfc_max_bits(std::size_t dim) {
 bool sfc_fits(std::size_t dim, int bits) {
   if (dim == 0 || bits < 0) return false;
   return static_cast<std::size_t>(bits) * dim <= 63 && bits <= 32;
-}
-
-int sfc_grid_levels(const std::vector<int>& grid) {
-  if (grid.empty())
-    throw std::invalid_argument("sfc_grid_levels: empty grid");
-  int side = 1;
-  for (const int cells : grid) {
-    if (cells <= 0)
-      throw std::invalid_argument("sfc_grid_levels: non-positive cell count");
-    side = std::max(side, cells);
-  }
-  int levels = 0;
-  while ((std::int64_t{1} << levels) < side) ++levels;
-  return levels;
 }
 
 std::uint64_t sfc_encode(const std::vector<std::uint32_t>& coords, int bits) {

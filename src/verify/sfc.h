@@ -1,17 +1,18 @@
-// Space-filling-curve (Morton / Z-order) keys for the spatial index
-// (ROADMAP: "Spatial indexing for certificates and reachability", after the
-// cstone idea of SFC keys + a linearized octree over state space).
+// Space-filling-curve (Morton / Z-order) keys for the reach-side spatial
+// index (after the cstone idea of SFC keys over state space).
 //
 // A d-dimensional cell coordinate is packed into one 64-bit key by bit
-// interleaving: key bit (b*d + i) is bit b of coordinate i.  Sorting keys
-// therefore sorts cells in Z-order, adjacent keys are spatially close, and
-// `key >> d` is the key of the parent cell one octree level up — the
-// property the bottom-up tree builds in verify/box_tree.h rely on.
+// interleaving: key bit (b*d + i) is bit b of coordinate i, so a key packs
+// any dim with dim * bits <= 63.  Sorting keys therefore sorts cells in
+// Z-order and adjacent keys are spatially close — the ordering behind
+// BoxTree's leaf runs (verify/box_tree.h) and pave_boxes' emission order
+// (verify/reach.h).
 //
 // Keys are an *ordering/packing* device only: every accepting decision made
-// over a keyed structure re-checks exact stored endpoints (box_tree.h), so
-// quantization here never needs outward rounding.  All functions are pure
-// and deterministic; encode/decode round-trip bitwise.
+// over a keyed structure re-checks exact stored endpoints, so quantization
+// here never needs outward rounding, and no certificate membership is
+// decided by a key (that is verify::InvariantIndex's job).  All functions
+// are pure and deterministic; encode/decode round-trip bitwise.
 #pragma once
 
 #include <cstddef>
@@ -20,10 +21,6 @@
 
 namespace cocktail::verify {
 
-/// Dimension cap for the cell-set octree (fanout = 2^dim children per
-/// node).  Morton packing itself only needs dim * bits <= 63.
-inline constexpr std::size_t kMaxSfcDim = 8;
-
 /// Most per-dimension bits a `dim`-dimensional Morton key can carry in the
 /// 63 usable bits of a uint64 (0 for dim == 0).
 [[nodiscard]] int sfc_max_bits(std::size_t dim);
@@ -31,11 +28,6 @@ inline constexpr std::size_t kMaxSfcDim = 8;
 /// True when a `dim`-dimensional grid with `bits` bits per dimension packs
 /// into one 64-bit Morton key.
 [[nodiscard]] bool sfc_fits(std::size_t dim, int bits);
-
-/// Smallest level count L with 2^L >= grid[d] for every dimension (the
-/// octree leaf depth covering the grid).  Throws std::invalid_argument on
-/// an empty grid or a non-positive cell count.
-[[nodiscard]] int sfc_grid_levels(const std::vector<int>& grid);
 
 /// Interleaves `coords` (each < 2^bits) into a Morton key.  Requires
 /// sfc_fits(coords.size(), bits); coordinate bits above `bits` are ignored.

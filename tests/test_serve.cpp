@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <ctime>
 #include <future>
 #include <limits>
 #include <stdexcept>
@@ -203,101 +204,35 @@ TEST(SafetyMonitor, IncompleteInvariantIsRejected) {
                std::invalid_argument);
 }
 
-/// Reference for the invariant margin check: the pre-tree flat odometer
-/// over the member window, verbatim — the SFC-keyed CellSetTree path must
-/// return bitwise-identical verdicts.
-bool flat_margin_certified(const std::vector<int>& grid,
-                           const std::vector<char>& member,
-                           const sys::Box& domain, double margin,
-                           const Vec& state) {
-  for (std::size_t d = 0; d < state.size(); ++d)
-    if (!std::isfinite(state[d])) return false;
-  if (state.size() != domain.dim()) return false;
-  std::vector<int> lo_k(state.size()), hi_k(state.size());
-  for (std::size_t d = 0; d < state.size(); ++d) {
-    const double lo = state[d] - margin;
-    const double hi = state[d] + margin;
-    if (lo < domain.lo[d] || hi > domain.hi[d]) return false;
-    const double w =
-        (domain.hi[d] - domain.lo[d]) / static_cast<double>(grid[d]);
-    lo_k[d] = std::clamp(static_cast<int>(std::floor((lo - domain.lo[d]) / w)),
-                         0, grid[d] - 1);
-    hi_k[d] = std::clamp(static_cast<int>(std::floor((hi - domain.lo[d]) / w)),
-                         0, grid[d] - 1);
-  }
-  std::vector<int> k = lo_k;
-  for (;;) {
-    std::size_t index = 0, stride = 1;
-    for (std::size_t d = 0; d < k.size(); ++d) {
-      index += static_cast<std::size_t>(k[d]) * stride;
-      stride *= static_cast<std::size_t>(grid[d]);
-    }
-    if (member[index] == 0) return false;
-    std::size_t d = 0;
-    while (d < k.size() && ++k[d] > hi_k[d]) {
-      k[d] = lo_k[d];
-      ++d;
-    }
-    if (d == k.size()) break;
-  }
-  return true;
-}
-
-TEST(SafetyMonitor, SfcIndexMatchesFlatOdometerOnRandomizedInvariants) {
-  // The Morton-keyed member index behind the margin path is an index, not a
-  // semantics change: randomized grids, member sets, margins, and states
-  // must certify bitwise-identically to the flat window walk it replaced.
+TEST(SafetyMonitor, InvariantModeAnswersWithTheIndex) {
+  // The monitor adds only the finite-state guard to
+  // InvariantIndex::covers (whose own suite checks it against a brute-force
+  // cell scan): randomized grids, member sets, margins and states.
   util::Rng rng(57);
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t dim = 2 + static_cast<std::size_t>(trial % 2);
-    std::vector<int> grid(dim);
+    verify::InvariantResult result;
+    result.completed = true;
+    result.grid.resize(dim);
     std::size_t total = 1;
-    for (auto& g : grid) {
+    for (auto& g : result.grid) {
       g = 2 + static_cast<int>(rng.uniform(0.0, 7.0));
       total *= static_cast<std::size_t>(g);
     }
-    verify::InvariantResult result;
-    result.grid = grid;
-    result.completed = true;
     result.member.resize(total);
-    for (auto& m : result.member)
-      m = rng.uniform(0.0, 1.0) < 0.6 ? 1 : 0;
+    for (auto& m : result.member) m = rng.uniform(0.0, 1.0) < 0.6 ? 1 : 0;
     const sys::Box domain = sys::Box::symmetric(dim, 1.0);
-    const double margin = rng.uniform(0.05, 0.5);
+    const double margin = trial % 4 == 0 ? 0.0 : rng.uniform(0.05, 0.5);
     const auto monitor =
         serve::SafetyMonitor::inside_invariant(result, domain, margin);
+    const verify::InvariantIndex index(result, domain);
     for (int q = 0; q < 200; ++q) {
       Vec state(dim);
       for (auto& x : state) x = rng.uniform(-1.2, 1.2);
-      ASSERT_EQ(monitor.certified(state),
-                flat_margin_certified(grid, result.member, domain, margin,
-                                      state))
+      ASSERT_EQ(monitor.certified(state), index.covers(state, margin))
           << "trial " << trial << " query " << q;
     }
   }
-}
-
-TEST(SafetyMonitor, OutsizedGridsFallBackToTheFlatWalk) {
-  // A 9-dimensional grid cannot pack into a 64-bit Morton key
-  // (dim > kMaxSfcDim), so the monitor keeps the flat odometer — same
-  // verdicts, no tree.
-  const std::size_t dim = 9;
-  ASSERT_GT(dim, verify::kMaxSfcDim);
-  verify::InvariantResult result;
-  result.grid.assign(dim, 2);
-  result.completed = true;
-  result.member.assign(std::size_t{1} << dim, 1);
-  result.member[0] = 0;  // the all-lo corner cell is not a member.
-  const sys::Box domain = sys::Box::symmetric(dim, 1.0);
-  const auto monitor =
-      serve::SafetyMonitor::inside_invariant(result, domain, 0.1);
-  Vec state(dim, 0.5);
-  EXPECT_TRUE(monitor.certified(state));      // deep in member cells.
-  Vec corner(dim, -0.5);
-  EXPECT_FALSE(monitor.certified(corner));    // overlaps the removed cell.
-  Vec straddle(dim, 0.5);
-  straddle[0] = -0.5;  // still certifies: cell (0,1,...,1) is a member.
-  EXPECT_TRUE(monitor.certified(straddle));
 }
 
 TEST(SafetyMonitor, ActionDeviationBoundUsesTheCertifiedLipschitz) {
@@ -748,6 +683,22 @@ serve::RejectReason reject_reason(std::future<Vec> future) {
   }
   ADD_FAILURE() << "future did not carry a RejectedError";
   return serve::RejectReason::kShutdown;
+}
+
+TEST(ControllerServer, IdleDispatchersCostNoCpu) {
+  // An idle dispatcher sleeps on its doorbell until a push or stop() rings
+  // it, with no periodic poll: a registered controller with no traffic
+  // costs (almost) no process CPU.
+  serve::ControllerServer server;  // library defaults.
+  server.register_controller("vdp", make_student(),
+                             std::make_shared<MarkerController>(2, 1),
+                             serve::SafetyMonitor::trust_all());
+  const std::clock_t start = std::clock();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const double cpu_s =
+      static_cast<double>(std::clock() - start) / CLOCKS_PER_SEC;
+  EXPECT_LT(cpu_s, 0.01);
+  server.stop();  // still wakes and joins the sleeping dispatcher.
 }
 
 // The pinned submit-after-shutdown contract: submit() on a stopped server

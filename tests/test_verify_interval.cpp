@@ -3,9 +3,12 @@
 // property), plus box utilities and the interval-instantiated dynamics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
+#include "face_cases.h"
 #include "sys/cartpole.h"
 #include "sys/threed.h"
 #include "sys/vanderpol.h"
@@ -211,6 +214,84 @@ TEST(BoxUtils, SubdivideFacesPinParentEndpointsExactly) {
   EXPECT_EQ(parts.back()[0].hi(), 0.9);
   for (std::size_t k = 0; k + 1 < parts.size(); ++k)
     EXPECT_EQ(parts[k][0].hi(), parts[k + 1][0].lo());  // shared bitwise.
+}
+
+/// Reference for slices_meeting: every slice scanned, closed faces
+/// compared directly.
+verify::SliceRange brute_slices_meeting(double lo, double hi,
+                                        std::size_t parts, double a,
+                                        double b) {
+  verify::SliceRange range;
+  for (std::size_t k = 0; k < parts; ++k) {
+    if (verify::slice_face(lo, hi, k, parts) <= b &&
+        a <= verify::slice_face(lo, hi, k + 1, parts)) {
+      if (range.empty()) range.first = k;
+      range.last = k;
+    }
+  }
+  return range;
+}
+
+TEST(SlicesMeeting, MatchesBruteForceAroundEveryInteriorFace) {
+  // A point within a few ulps of a face must index exactly the slices
+  // whose closed faces hold it: both slices when it sits on the face.
+  std::size_t checked = 0;
+  for (const auto& domain : face_cases::domains())
+    for (const std::size_t parts : face_cases::grids())
+      for (std::size_t k = 1; k < parts; ++k) {
+        const double face = verify::slice_face(domain.lo, domain.hi, k, parts);
+        const double other = verify::slice_face(
+            domain.lo, domain.hi, std::min(parts - 1, k + k % 3), parts);
+        for (int u = -face_cases::kMaxUlps; u <= face_cases::kMaxUlps; ++u) {
+          const double x = face_cases::ulp_step(face, u);
+          const double y = face_cases::ulp_step(other, -u);
+          for (const auto& [a, b] :
+               {std::pair{x, x}, std::pair{std::min(x, y), std::max(x, y)}}) {
+            const auto got =
+                verify::slices_meeting(domain.lo, domain.hi, parts, a, b);
+            const auto want =
+                brute_slices_meeting(domain.lo, domain.hi, parts, a, b);
+            ASSERT_EQ(got.first, want.first)
+                << "[" << domain.lo << ", " << domain.hi << "] / " << parts
+                << " face " << k << " ulps " << u;
+            ASSERT_EQ(got.last, want.last)
+                << "[" << domain.lo << ", " << domain.hi << "] / " << parts
+                << " face " << k << " ulps " << u;
+            ++checked;
+          }
+        }
+      }
+  EXPECT_GT(checked, 10000u);
+}
+
+TEST(SlicesMeeting, EdgeCases) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(verify::slices_meeting(0.0, 1.0, 4, nan, 0.5).empty());
+  EXPECT_TRUE(verify::slices_meeting(0.0, 1.0, 4, 0.2, nan).empty());
+  EXPECT_TRUE(verify::slices_meeting(0.0, 1.0, 4, 0.6, 0.4).empty());
+  EXPECT_TRUE(verify::slices_meeting(0.0, 1.0, 4, 1.5, 2.0).empty());
+  EXPECT_TRUE(verify::slices_meeting(0.0, 1.0, 4, -2.0, -0.5).empty());
+  EXPECT_TRUE(verify::slices_meeting(0.0, 1.0, 0, 0.2, 0.4).empty());
+  // A range reaching past the domain clamps to the end slices.
+  auto range = verify::slices_meeting(0.0, 1.0, 4, -inf, inf);
+  EXPECT_EQ(range.first, 0u);
+  EXPECT_EQ(range.last, 3u);
+  // The domain's own faces meet only the end slices.
+  range = verify::slices_meeting(0.0, 1.0, 4, 0.0, 0.0);
+  EXPECT_EQ(range.first, 0u);
+  EXPECT_EQ(range.last, 0u);
+  range = verify::slices_meeting(0.0, 1.0, 4, 1.0, 1.0);
+  EXPECT_EQ(range.first, 3u);
+  EXPECT_EQ(range.last, 3u);
+  // An interior face meets both slices that share it.
+  range = verify::slices_meeting(0.0, 1.0, 4, 0.5, 0.5);
+  EXPECT_EQ(range.first, 1u);
+  EXPECT_EQ(range.last, 2u);
+  // A degenerate domain: every slice is the same point.
+  range = verify::slices_meeting(2.0, 2.0, 3, 2.0, 2.0);
+  EXPECT_EQ(range.first, 0u);
+  EXPECT_EQ(range.last, 2u);
 }
 
 TEST(BoxUtils, HullContainsBoth) {

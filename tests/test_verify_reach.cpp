@@ -3,13 +3,17 @@
 // cleanly on budget exhaustion.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "control/lqr_controller.h"
 #include "control/nn_controller.h"
 #include "control/polynomial_controller.h"
 #include "core/distiller.h"
+#include "face_cases.h"
 #include "sys/threed.h"
 #include "sys/vanderpol.h"
 #include "verify/reach.h"
@@ -210,6 +214,57 @@ TEST(PaveBoxes, CoversAllInputBoxes) {
       ASSERT_TRUE(covered);
     }
   }
+}
+
+/// True when the union of 1-D `cells` (sorted by lower face, as
+/// pave_boxes emits them in 1-D) covers [a, b].
+bool covers_1d(const std::vector<IBox>& cells, double a, double b) {
+  double reach = a;
+  bool started = false;
+  for (const IBox& cell : cells) {
+    if (!started) {
+      if (!cell[0].contains(a)) continue;
+      started = true;
+    } else if (cell[0].lo() > reach) {
+      break;
+    }
+    reach = std::max(reach, cell[0].hi());
+  }
+  return started && reach >= b;
+}
+
+TEST(PaveBoxes, CoversBoxesEndingAroundEveryInteriorFace) {
+  // Two point boxes pin the hull to [lo, hi]; the box under test starts or
+  // ends within 4 ulps of a face of the paving grid.  Its cover must hold
+  // it whichever side of the face the endpoint fell on.
+  for (const auto& domain : face_cases::domains())
+    for (const std::size_t target : face_cases::grids()) {
+      const double width = domain.hi - domain.lo;
+      const double resolution = width / static_cast<double>(target);
+      // pave_boxes' own sizing for this hull.
+      const auto parts =
+          static_cast<std::size_t>(std::ceil(width / resolution));
+      for (std::size_t k = 1; k < parts; ++k) {
+        const double face = verify::slice_face(domain.lo, domain.hi, k, parts);
+        const double next =
+            verify::slice_face(domain.lo, domain.hi, k + 1, parts);
+        for (int u = -face_cases::kMaxUlps; u <= face_cases::kMaxUlps; ++u) {
+          const double x = face_cases::ulp_step(face, u);
+          for (const auto& [a, b] : {std::pair{x, x}, std::pair{x, next},
+                                     std::pair{domain.lo, x}}) {
+            const std::vector<IBox> boxes = {
+                verify::make_box({domain.lo}, {domain.lo}),
+                verify::make_box({domain.hi}, {domain.hi}),
+                verify::make_box({a}, {b})};
+            const auto cells = verify::pave_boxes(boxes, resolution);
+            ASSERT_TRUE(covers_1d(cells, a, b))
+                << "[" << domain.lo << ", " << domain.hi << "] / " << parts
+                << " face " << k << " ulps " << u << " box [" << a << ", "
+                << b << "]";
+          }
+        }
+      }
+    }
 }
 
 TEST(PaveBoxes, RespectsCellCap) {

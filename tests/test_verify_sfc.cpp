@@ -1,8 +1,7 @@
-// Tests for the SFC key layer (verify/sfc.h) and the linearized spatial
-// trees built on it (verify/box_tree.h).  The load-bearing property
-// throughout: tree-backed verdicts are bitwise identical to the flat
-// reference scans they replaced — randomized member sets, windows, boxes,
-// and query points, including the fail-closed NaN/Inf cases.
+// Tests for the SFC key layer (verify/sfc.h) and the BoxTree built on it
+// (verify/box_tree.h).  The load-bearing property throughout: tree-backed
+// verdicts are bitwise identical to flat reference scans — randomized
+// boxes and query points, including the fail-closed NaN/Inf cases.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +22,6 @@ namespace {
 
 using la::Vec;
 using verify::BoxTree;
-using verify::CellSetTree;
 using verify::IBox;
 using verify::Interval;
 
@@ -38,7 +36,7 @@ int rand_int(util::Rng& rng, int lo, int hi) {  // inclusive range.
 
 TEST(Sfc, KeyRoundTripAcrossDims) {
   util::Rng rng(7);
-  for (std::size_t dim = 1; dim <= verify::kMaxSfcDim; ++dim) {
+  for (std::size_t dim = 1; dim <= 8; ++dim) {
     const int bits = verify::sfc_max_bits(dim);
     ASSERT_TRUE(verify::sfc_fits(dim, bits));
     ASSERT_FALSE(verify::sfc_fits(dim, bits + 1));
@@ -58,14 +56,6 @@ TEST(Sfc, KeyRoundTripAcrossDims) {
   }
 }
 
-TEST(Sfc, GridLevelsAndValidation) {
-  EXPECT_EQ(verify::sfc_grid_levels({1}), 0);
-  EXPECT_EQ(verify::sfc_grid_levels({2, 2}), 1);
-  EXPECT_EQ(verify::sfc_grid_levels({5, 3}), 3);  // covers 8x8.
-  EXPECT_THROW((void)verify::sfc_grid_levels({}), std::invalid_argument);
-  EXPECT_THROW((void)verify::sfc_grid_levels({4, 0}), std::invalid_argument);
-}
-
 TEST(Sfc, CellCoordFailsClosedOnNonFinite) {
   EXPECT_EQ(verify::sfc_cell_coord(kNan, 0.0, 1.0, 8), 0u);
   EXPECT_EQ(verify::sfc_cell_coord(0.5, kNan, 1.0, 8), 0u);
@@ -74,89 +64,6 @@ TEST(Sfc, CellCoordFailsClosedOnNonFinite) {
   EXPECT_EQ(verify::sfc_cell_coord(-3.0, 0.0, 1.0, 8), 0u);   // clamp low.
   EXPECT_EQ(verify::sfc_cell_coord(99.0, 0.0, 1.0, 8), 7u);   // clamp high.
   EXPECT_EQ(verify::sfc_cell_coord(0.51, 0.0, 1.0, 8), 4u);
-}
-
-/// Reference for CellSetTree::all_members: the odometer window walk over
-/// the flattened member array (dim 0 fastest) the tree replaced.
-bool flat_all_members(const std::vector<int>& grid,
-                      const std::vector<char>& member,
-                      const std::vector<int>& lo_k,
-                      const std::vector<int>& hi_k) {
-  if (lo_k.size() != grid.size() || hi_k.size() != grid.size()) return false;
-  for (std::size_t d = 0; d < grid.size(); ++d)
-    if (lo_k[d] > hi_k[d]) return true;  // empty window: vacuous.
-  for (std::size_t d = 0; d < grid.size(); ++d)
-    if (lo_k[d] < 0 || hi_k[d] >= grid[d]) return false;
-  std::vector<int> k = lo_k;
-  for (;;) {
-    std::size_t index = 0, stride = 1;
-    for (std::size_t d = 0; d < k.size(); ++d) {
-      index += static_cast<std::size_t>(k[d]) * stride;
-      stride *= static_cast<std::size_t>(grid[d]);
-    }
-    if (member[index] == 0) return false;
-    std::size_t d = 0;
-    while (d < k.size() && ++k[d] > hi_k[d]) {
-      k[d] = lo_k[d];
-      ++d;
-    }
-    if (d == k.size()) break;
-  }
-  return true;
-}
-
-TEST(CellSetTree, MatchesFlatOdometerOnRandomizedSets) {
-  util::Rng rng(11);
-  const double densities[] = {0.0, 0.35, 0.8, 1.0};
-  for (int trial = 0; trial < 60; ++trial) {
-    const std::size_t dim = static_cast<std::size_t>(rand_int(rng, 1, 3));
-    std::vector<int> grid(dim);
-    std::size_t total = 1;
-    for (auto& g : grid) {
-      g = rand_int(rng, 1, 9);  // non-power-of-two sides included.
-      total *= static_cast<std::size_t>(g);
-    }
-    const double density = densities[trial % 4];
-    std::vector<char> member(total);
-    for (auto& m : member) m = rng.uniform(0.0, 1.0) < density ? 1 : 0;
-
-    ASSERT_TRUE(CellSetTree::supports(grid));
-    const CellSetTree tree = CellSetTree::build(grid, member);
-    EXPECT_EQ(tree.member_count(),
-              static_cast<std::size_t>(
-                  std::count(member.begin(), member.end(), 1)));
-
-    for (int q = 0; q < 40; ++q) {
-      std::vector<int> lo_k(dim), hi_k(dim);
-      for (std::size_t d = 0; d < dim; ++d) {
-        // Windows may be empty (lo > hi) or escape the grid.
-        lo_k[d] = rand_int(rng, -1, grid[d]);
-        hi_k[d] = rand_int(rng, -1, grid[d]);
-      }
-      EXPECT_EQ(tree.all_members(lo_k, hi_k),
-                flat_all_members(grid, member, lo_k, hi_k))
-          << "trial " << trial << " query " << q;
-    }
-    // Full-grid window == every cell a member.
-    std::vector<int> zero(dim, 0), top(dim);
-    for (std::size_t d = 0; d < dim; ++d) top[d] = grid[d] - 1;
-    EXPECT_EQ(tree.all_members(zero, top), tree.member_count() == total);
-  }
-}
-
-TEST(CellSetTree, FailsClosedOnBadInput) {
-  const CellSetTree empty;  // default: certifies nothing.
-  EXPECT_FALSE(empty.all_members({0}, {0}));
-  const CellSetTree tree = CellSetTree::build({4, 4}, std::vector<char>(16, 1));
-  EXPECT_FALSE(tree.all_members({0}, {0}));           // dim mismatch.
-  EXPECT_FALSE(tree.all_members({0, 0}, {0, 4}));     // escapes grid.
-  EXPECT_FALSE(tree.all_members({-1, 0}, {0, 0}));    // escapes grid.
-  EXPECT_TRUE(tree.all_members({2, 2}, {1, 1}));      // empty: vacuous.
-  EXPECT_THROW((void)CellSetTree::build({4, 4}, std::vector<char>(15, 1)),
-               std::invalid_argument);
-  EXPECT_FALSE(CellSetTree::supports(std::vector<int>(9, 2)));  // dim > 8.
-  // 3 x 22 levels = 66 key bits: too wide for one 64-bit Morton key.
-  EXPECT_FALSE(CellSetTree::supports({1 << 22, 1 << 22, 1 << 22}));
 }
 
 IBox random_box(util::Rng& rng, std::size_t dim, double span) {

@@ -48,6 +48,13 @@ missing-nodiscard       (headers)  A function declaration returning `bool`,
                         *Result/*Counters/*Outcome/*Report/*Stats) without
                         [[nodiscard]].  A dropped status bool or future is
                         a swallowed failure on the serving path.
+cell-index-floor        (verify/serve)  Any `floor(` call.  Mapping a point
+                        to a grid cell as floor((x - lo) / w) disagrees with
+                        the slice_face cells it indexes within ulps of a
+                        face, so the index points at a cell whose closed box
+                        misses the point.  Index cells through
+                        verify::slices_meeting, which settles its estimate
+                        against the faces.
 implicit-single-arg-ctor (headers)  A constructor callable with a single
                         argument that is not marked `explicit` (copy/move
                         constructors and allowlisted intentional implicit
@@ -93,6 +100,8 @@ RULES = {
     "src/verify/tolerances.h where its magnitude is justified",
     "missing-nodiscard": "status/future/result return can be silently "
     "dropped; declare the function [[nodiscard]]",
+    "cell-index-floor": "floor() cell index disagrees with the slice_face "
+    "cells at float boundaries; index through verify::slices_meeting",
     "implicit-single-arg-ctor": "single-argument constructor invites silent "
     "conversions; mark it explicit (or allowlist an intentional lift)",
 }
@@ -409,8 +418,8 @@ def scan_file(path: str, rel: str, raw: str) -> tuple[list[Finding], int]:
     findings: list[Finding] = []
     rel_posix = rel.replace(os.sep, "/")
     in_verify = "verify/" in rel_posix or rel_posix.startswith("verify")
-    in_cert_surface = in_verify or any(
-        seg in rel_posix for seg in ("serve/", "sys/"))
+    in_serve = "serve/" in rel_posix or rel_posix.startswith("serve")
+    in_cert_surface = in_verify or in_serve or "sys/" in rel_posix
     is_header = rel_posix.endswith(HEADER_SUFFIXES)
 
     if in_verify and not rel_posix.endswith(TOLERANCE_HEADER.split("/")[-1]):
@@ -423,6 +432,13 @@ def scan_file(path: str, rel: str, raw: str) -> tuple[list[Finding], int]:
                 findings.append(Finding(
                     path, line_of(offsets, m.start()), "magic-tolerance",
                     f"bare tolerance literal '{m.group(0)}'"))
+
+    if in_verify or in_serve:
+        for m in re.finditer(r"\bfloor\s*\(", text):
+            findings.append(Finding(
+                path, line_of(offsets, m.start()), "cell-index-floor",
+                "floor() maps a point to a cell without consulting the "
+                "cell faces"))
 
     for m in re.finditer(r"\bfloat\b", text):
         findings.append(Finding(
@@ -555,8 +571,27 @@ SELF_TEST_CASES = [
     ("template angle brackets are not comparisons",
      "verify/invariant.cpp",
      "bool InvariantResult::contains(const la::Vec& p) const {\n"
-     "  const int k = static_cast<int>(std::floor(p[0]));\n"
+     "  const int k = static_cast<int>(p[0]);\n"
      "  return member[static_cast<std::size_t>(k)] != 0;\n}\n",
+     []),
+    ("floor cell index flagged in verify",
+     "verify/invariant.cpp",
+     "std::size_t cell_of(double x, double lo, double w) {\n"
+     "  return static_cast<std::size_t>(std::floor((x - lo) / w));\n}\n",
+     ["cell-index-floor"]),
+    ("floor cell index flagged in serve",
+     "serve/safety_monitor.cpp",
+     "int k = static_cast<int>(floor((s[d] - lo[d]) / w));\n",
+     ["cell-index-floor"]),
+    ("waived floor estimate is fine",
+     "verify/interval.cpp",
+     "double estimate(double x, double lo, double w) {\n"
+     "  // SNDLINT-ALLOW(cell-index-floor): a seed corrected against the faces\n"
+     "  return std::floor((x - lo) / w);\n}\n",
+     []),
+    ("floor outside verify/serve is not in scope",
+     "core/stats.cpp",
+     "std::size_t bin(double x) { return std::floor(x * 10.0); }\n",
      []),
     ("non-predicate comparisons are not in scope",
      "verify/reach.cpp",
