@@ -381,11 +381,10 @@ void BM_CertifiedLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_CertifiedLookup)->Arg(0)->Arg(16)->Arg(64)->Arg(256);
 
-// The single-box serialization hole (tracked): one giant initial box whose
-// ~216 sub-box enclosures are the whole first wave.  Arg 0 = fan-out
-// disabled at 8 workers (the pre-PR-9 schedule: one work item, zero
-// parallelism); Arg k>0 = fan-out enabled at k workers.  Results are
-// bitwise identical across all rows — only the wall-clock moves.
+// The single-box wave (tracked): one giant initial box whose ~216 sub-box
+// enclosures are the whole first wave, split into kFrontierWave chunks and
+// run at Arg workers.  Results are bitwise identical across all rows —
+// only the wall-clock moves.
 void BM_ReachFrontierFanout(benchmark::State& state) {
   auto system = std::make_shared<sys::ThreeD>();
   const auto lqr = ctrl::LqrController::synthesize(*system, 1.0, 8.0);
@@ -395,9 +394,7 @@ void BM_ReachFrontierFanout(benchmark::State& state) {
   config.steps = 1;
   config.abstraction.epsilon_target = 0.08;
   config.max_box_width = 0.05;
-  config.subbox_fanout = state.range(0) != 0;
-  config.num_workers =
-      state.range(0) != 0 ? static_cast<int>(state.range(0)) : 8;
+  config.num_workers = static_cast<int>(state.range(0));
   const verify::ReachabilityAnalyzer analyzer(system, *controller, config);
   const verify::IBox initial =
       verify::make_box({-0.25, 0.05, -0.05}, {0.05, 0.35, 0.25});
@@ -410,7 +407,7 @@ void BM_ReachFrontierFanout(benchmark::State& state) {
     benchmark::DoNotOptimize(result);
   }
 }
-BENCHMARK(BM_ReachFrontierFanout)->Arg(0)->Arg(1)->Arg(2)->Arg(8)
+BENCHMARK(BM_ReachFrontierFanout)->Arg(1)->Arg(2)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Scaling of the PPO minibatch updates with worker count (Arg; 1 = serial).
@@ -594,17 +591,6 @@ void write_json(const std::vector<TrajectoryRow>& rows, bool smoke,
     if (!first) out << ",";
     first = false;
     out << "\n    \"gemm_speedup_" << n << "\": " << naive / blocked;
-  }
-  // Single-giant-box frontier: fan-out speedup over the serialized
-  // pre-fan-out schedule (Arg 0) at 8 workers.
-  {
-    const double serial = find_time(rows, "BM_ReachFrontierFanout/0/real_time");
-    const double fanned = find_time(rows, "BM_ReachFrontierFanout/8/real_time");
-    if (serial > 0.0 && fanned > 0.0) {
-      if (!first) out << ",";
-      first = false;
-      out << "\n    \"reach_fanout_speedup_8\": " << serial / fanned;
-    }
   }
   out << (first ? "" : "\n  ") << "}\n}\n";
   std::cout << "bench_micro: wrote perf trajectory point to " << path << "\n";

@@ -194,6 +194,8 @@ InvariantResult InvariantSetComputer::compute() const {
       images[i] = dynamics->step(cell, u.u_range);
     }
   } catch (const BudgetExhausted& e) {
+    // No cell was proven: an incomplete result claims none.
+    result.member.assign(cells, 0);
     result.completed = false;
     result.failure = e.what();
     result.seconds = timer.seconds();

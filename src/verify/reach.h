@@ -28,28 +28,18 @@ struct ReachConfig {
   /// boxes and bounds the frontier size.  0 disables merging.
   std::size_t merge_threshold = 1024;
   VerificationBudget budget;
-  /// Worker count for the per-box frontier sweep (the BatchRolloutConfig
+  /// Worker count for the frontier sweep (the BatchRolloutConfig
   /// convention: 0 = shared pool, 1 = serial).  Frontier ordering, budget
   /// counters, and failures are identical for any value: boxes run in
-  /// fixed-size waves, each box against a private budget capped at the
-  /// wave's remaining budget, and per-box results merge in frontier
-  /// order (so a run overshoots an exhausted budget by at most one
-  /// wave's concurrent work — including fanned-out sub-boxes, see
-  /// `subbox_fanout` — the wave schedule is identical for every worker
-  /// count, serial included).
+  /// fixed-size waves, each wave's sub-boxes split into chunks whose count
+  /// depends only on the wave's box count (one per box on a full wave,
+  /// more per box on a short one, so a single giant box still fans out),
+  /// each chunk against a private budget capped at the wave's remaining
+  /// budget, and chunk images merge in frontier order.  A run therefore
+  /// overshoots an exhausted budget by at most one wave's concurrent
+  /// chunks — the same wave schedule for every worker count, serial
+  /// included.
   int num_workers = 0;
-  /// When a wave holds fewer boxes than the wave size, fan each box's
-  /// *sub-box* enclosures out as independent work items (closing the
-  /// single-box serialization hole: one giant frontier box used to run
-  /// hundreds of enclosures inside a single work item with zero
-  /// parallelism).  The fan-out schedule is a function of box/sub-box
-  /// counts only — never of the worker count — so layers, counters, and
-  /// failures stay bitwise identical across workers; on completing runs
-  /// they also equal the non-fanned schedule's.  An exhausted budget may
-  /// overshoot by the wave's concurrent chunks (the documented wave
-  /// caveat, now including fanned-out sub-boxes).  Disable to reproduce
-  /// the strictly per-box schedule.
-  bool subbox_fanout = true;
 };
 
 struct ReachResult {
@@ -75,13 +65,18 @@ class ReachabilityAnalyzer {
   [[nodiscard]] ReachResult analyze(const IBox& initial) const;
 
  private:
-  [[nodiscard]] bool inside_safe_region(const IBox& box) const;
-
   sys::SystemPtr system_;
   const ctrl::Controller& controller_;
   ReachConfig config_;
   std::unique_ptr<IntervalDynamics> dynamics_;
 };
+
+/// Fail-closed box-in-region test: every component must be finite and
+/// valid (NaN/Inf certify nothing), and inside the region on every bounded
+/// dimension (unbounded region dimensions always pass).  The one predicate
+/// behind ReachabilityAnalyzer's safe-region sweep, applied to every box of
+/// every layer.
+[[nodiscard]] bool box_inside_region(const IBox& box, const sys::Box& region);
 
 /// Sound frontier merge: covers `boxes` with the cells of a regular grid
 /// (cell edge ~`resolution`, grid capped at `max_cells` by coarsening) over
@@ -94,9 +89,9 @@ class ReachabilityAnalyzer {
 /// a corrupted box cannot be soundly paved).  `analyze` converts such
 /// throws into a failed — never crashed — verification.  Cell-count
 /// sizing is overflow-checked: a wide hull over a tiny resolution coarsens
-/// instead of wrapping size_t.  Cells are keyed on the space-filling curve
-/// (verify/sfc.h) and emitted in ascending key order — deterministic, and
-/// invariant under permutations of the input boxes.
+/// instead of wrapping size_t.  Cells are emitted in ascending row-major
+/// order (dim 0 fastest) — deterministic, and invariant under permutations
+/// of the input boxes.
 [[nodiscard]] std::vector<IBox> pave_boxes(const std::vector<IBox>& boxes,
                                            double resolution,
                                            std::size_t max_cells = 200000);

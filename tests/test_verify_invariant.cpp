@@ -113,6 +113,11 @@ TEST(Invariant, BudgetExhaustionReportedNotThrown) {
   const auto result = computer.compute();
   EXPECT_FALSE(result.completed);
   EXPECT_FALSE(result.failure.empty());
+  // An incomplete result proves nothing, so it must claim no cell.
+  EXPECT_EQ(result.cell_count(), 32u * 32u);
+  EXPECT_EQ(std::count_if(result.member.begin(), result.member.end(),
+                          [](char m) { return m != 0; }),
+            0);
 }
 
 TEST(Invariant, RejectsUnboundedDomains) {

@@ -1,6 +1,8 @@
 // Tests for reachable-set computation (Definition 2 / Fig 4): the verified
-// flowpipe must contain simulated trajectories, detect safety, and fail
-// cleanly on budget exhaustion.
+// flowpipe must contain simulated trajectories, detect safety, fail cleanly
+// on budget exhaustion, and match a plain serial loop bitwise at any worker
+// count.  Also pins the frontier merge (pave_boxes); its order invariance
+// and the fail-closed safe-region predicate are in test_verify_sfc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -353,7 +355,6 @@ TEST(Reach, SingleGiantBoxFanoutAgreesAcrossWorkerCounts) {
   config.abstraction.epsilon_target = 0.15;
   config.max_box_width = 0.06;  // 5^3 = 125 sub-boxes in the first wave.
   config.num_workers = 1;
-  ASSERT_TRUE(config.subbox_fanout) << "fan-out should be the default";
   const verify::ReachabilityAnalyzer serial(system, *controller, config);
   const IBox initial =
       verify::make_box({-0.25, 0.05, -0.05}, {0.05, 0.35, 0.25});
@@ -368,25 +369,83 @@ TEST(Reach, SingleGiantBoxFanoutAgreesAcrossWorkerCounts) {
   }
 }
 
-TEST(Reach, FanoutMatchesPerBoxScheduleWhenCompleting) {
-  // On completing runs the fanned-out schedule is defined to equal the
-  // strictly per-box schedule: same layers, same counters, same verdict.
+/// What the serial loop below saw of the schedule it replaces.
+struct SerialShape {
+  bool short_wave = false;  ///< some frontier ended in a wave of 2–15 boxes.
+  bool paved = false;       ///< some layer was re-paved.
+};
+
+/// analyze() without a schedule: subdivide, enclose and step every frontier
+/// box in frontier order against one budget, re-pave past merge_threshold,
+/// and sweep every layer through the safe-region predicate.  On a
+/// completing run the wave/chunk schedule must reproduce it bitwise.
+verify::ReachResult serial_reach(const sys::System& system,
+                                 const ctrl::Controller& controller,
+                                 const verify::ReachConfig& config,
+                                 const IBox& initial, SerialShape& shape) {
+  verify::ReachResult result;
+  result.layers.push_back({initial});
+  const verify::NnAbstraction abstraction(controller, config.abstraction);
+  verify::VerificationBudget budget = config.budget;
+  const auto dynamics = verify::make_interval_dynamics(system);
+  const IBox u_bounds = verify::make_box(system.control_bounds().lo,
+                                         system.control_bounds().hi);
+  bool safe = verify::box_inside_region(initial, system.safe_region());
+  for (int t = 0; t < config.steps; ++t) {
+    const std::vector<IBox>& frontier = result.layers.back();
+    const std::size_t tail = frontier.size() % 16;
+    shape.short_wave = shape.short_wave || (tail >= 2 && tail <= 15);
+    std::vector<IBox> next;
+    for (const IBox& box : frontier) {
+      std::vector<int> parts(box.size(), 1);
+      for (std::size_t d = 0; d < box.size(); ++d)
+        if (box[d].width() > config.max_box_width)
+          parts[d] = static_cast<int>(
+              std::ceil(box[d].width() / config.max_box_width));
+      for (const IBox& sub : verify::box_subdivide(box, parts)) {
+        const auto u = abstraction.enclose(sub, u_bounds, budget);
+        next.push_back(dynamics->step(sub, u.u_range));
+      }
+    }
+    if (config.merge_threshold > 0 && next.size() > config.merge_threshold) {
+      next = verify::pave_boxes(next, config.max_box_width,
+                                config.merge_threshold * 4);
+      shape.paved = true;
+    }
+    for (const IBox& box : next)
+      safe = safe && verify::box_inside_region(box, system.safe_region());
+    result.layers.push_back(std::move(next));
+  }
+  result.completed = true;
+  result.safe = safe;
+  result.nn_evaluations = budget.nn_evaluations;
+  result.partitions = budget.partitions;
+  return result;
+}
+
+TEST(Reach, WaveScheduleMatchesSerialLoopBitwise) {
+  // The one wave schedule (chunked sub-boxes, wave-start budget caps,
+  // (box, chunk)-order merge) against the plain serial loop, on a run
+  // whose frontier has a one-box wave, a short wave and a re-paving.
   auto system = std::make_shared<sys::ThreeD>();
   const auto controller = threed_linear_controller();
   verify::ReachConfig config;
-  config.steps = 2;
+  config.steps = 5;
   config.abstraction.epsilon_target = 0.15;
-  config.max_box_width = 0.06;
-  config.num_workers = 2;
-  config.subbox_fanout = false;
-  const verify::ReachabilityAnalyzer per_box(system, *controller, config);
+  config.max_box_width = 0.03;
+  config.merge_threshold = 48;
   const IBox initial =
-      verify::make_box({-0.25, 0.05, -0.05}, {0.05, 0.35, 0.25});
-  const auto reference = per_box.analyze(initial);
-  ASSERT_TRUE(reference.completed) << reference.failure;
-  config.subbox_fanout = true;
-  const verify::ReachabilityAnalyzer fanned(system, *controller, config);
-  expect_same_reach(fanned.analyze(initial), reference, /*workers=*/2);
+      verify::make_box({-0.14, 0.18, 0.08}, {-0.08, 0.24, 0.14});
+  SerialShape shape;
+  const auto reference =
+      serial_reach(*system, *controller, config, initial, shape);
+  ASSERT_TRUE(shape.short_wave) << "no wave of 2-15 boxes";
+  ASSERT_TRUE(shape.paved) << "no layer crossed merge_threshold";
+  for (const int workers : {1, 2, 8}) {
+    config.num_workers = workers;
+    const verify::ReachabilityAnalyzer analyzer(system, *controller, config);
+    expect_same_reach(analyzer.analyze(initial), reference, workers);
+  }
 }
 
 TEST(Reach, VanDerPolOneStepMatchesIntervalStep) {
